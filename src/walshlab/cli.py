@@ -601,9 +601,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, PreconditionError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except WalshLabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

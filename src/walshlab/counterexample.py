@@ -18,7 +18,7 @@ sides row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,25 +162,14 @@ def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> Wa
 
 @dataclass(frozen=True)
 class ConditionsReport:
-    """Summability and sparsity screening of a block schedule.
+    """Spectral-mass screening of a block schedule.
 
-    cond3_partial   partial sum of a_k^(-p/2) (finite schedules always converge;
-                    the value is reported for inspection)
     cond4[k-1]      previous spectral masses stay below the next one:
                     sum_{e<k} 2^(2 a_e / p)/sqrt(a_e) < 2^(2 a_k / p)/sqrt(a_k)
-    cond5_*[k-1]    the sparsity inequality tying block k-1 to the mean of
-                    block k, gated by either the display constant
-                    q_1 - q_3 - (3/2) q_5 or the kernel floor kappa;
-                    None where the weight horizon 2^(2a_k+1) is too large
-                    to evaluate exactly
     """
 
     K: int
-    cond3_partial: float
     cond4: tuple[bool, ...]
-    cond5_display: tuple[bool | None, ...]
-    cond5_kappa: tuple[bool | None, ...]
-    display_constant: float
     kappa: float
 
     @property
@@ -194,47 +183,15 @@ def _log2_mass(a: int, p: float) -> float:
 
 
 def check_conditions(cfg: CounterexampleConfig) -> ConditionsReport:
-    """Evaluate the schedule conditions; log-domain, safe for huge blocks."""
-    w = cfg.weights
-    p = cfg.p
+    """Evaluate cond4; log-domain, safe for huge blocks."""
     alphas = cfg.alphas
-    cond3 = float(sum(a ** (-p / 2.0) for a in alphas))
-    display_const = w.q(1) - w.q(3) - 1.5 * w.q(5)
-    kap = kappa(w).kappa
-
     cond4: list[bool] = []
-    cond5_display: list[bool | None] = []
-    cond5_kappa: list[bool | None] = []
     running = None  # log2 of the partial mass sum
     for k in range(1, cfg.K):
-        prev_log = _log2_mass(alphas[k - 1], p)
+        prev_log = _log2_mass(alphas[k - 1], cfg.p)
         running = prev_log if running is None else float(np.logaddexp2(running, prev_log))
-        cond4.append(running < _log2_mass(alphas[k], p))
-
-        a_k = alphas[k]
-        horizon = 1 << (2 * a_k + 1)
-        if 2 * a_k + 1 > 22:
-            cond5_display.append(None)
-            cond5_kappa.append(None)
-            continue
-        # log2 of the right side up to the gate constant
-        base = -math.log2(w.Q(horizon)) + 2.0 * a_k * (1.0 / p - 1.0) - 3.0 - math.log2(a_k)
-        lhs = _log2_mass(alphas[k - 1], p)
-        for gate, bucket in ((display_const, cond5_display), (kap, cond5_kappa)):
-            if gate <= 0.0:
-                bucket.append(False)
-            else:
-                bucket.append(lhs < math.log2(gate) + base)
-
-    return ConditionsReport(
-        cfg.K,
-        cond3,
-        tuple(cond4),
-        tuple(cond5_display),
-        tuple(cond5_kappa),
-        display_const,
-        kap,
-    )
+        cond4.append(running < _log2_mass(alphas[k], cfg.p))
+    return ConditionsReport(cfg.K, tuple(cond4), kappa(cfg.weights).kappa)
 
 
 @dataclass(frozen=True)
@@ -291,7 +248,7 @@ class DivergenceRow:
     weak_lp_value: float
     pointwise_floor: float
     theory_bound: float
-    hardy_estimate: float  # Hardy size of the newest scaled block, ~ a_k^(-1/2)
+    hardy_estimate: float  # Hardy size of the newest scaled block, a_k^(-1/2)
 
     @property
     def ratio(self) -> float:
@@ -342,14 +299,18 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     """Run the blow-up measurement block by block.
 
     Row k lives at the smallest resolution resolving block k (2a_k + 1
-    bits).  The measured columns are the exact weak-L_p size of the mean
-    t_(2^(2a_k+1)) f_k of the prefix martingale f_k, the measured minimum
-    of |t f_k| on the quarter cell, the provable floor scaled into the
-    theory_bound column, and the Hardy size of the newest scaled block
-    a_k^(-1/2) * atom_k (its maximal function is a single plateau, so the
-    column equals a_k^(-1/2) up to rounding); divergence shows up as
-    strict growth of weak_lp_value / hardy_estimate, the weak size of the
-    mean against the Hardy cost of the block that produced it.
+    bits).  Its input is the first 2^(2a_k+1) coefficients of the
+    closed-form martingale_spectrum, which are exactly the spectrum of the
+    prefix martingale f_k (later blocks start above that index).  The
+    measured columns are the exact weak-L_p size of the mean
+    t_(2^(2a_k+1)) f_k, the measured minimum of |t f_k| on the quarter
+    cell, and the provable floor scaled into the theory_bound column.
+    hardy_estimate is the Hardy size of the newest scaled block
+    a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
+    function is a single plateau; test_hardy_norm_of_single_block_is_its_weight
+    measures it with hardy_norm_estimate.  Divergence shows up as strict
+    growth of weak_lp_value / hardy_estimate, the weak size of the mean
+    against the Hardy cost of the block that produced it.
     """
     w = cfg.weights
     structure = validate_structure(w, 1 << cfg.required_bits)
@@ -362,9 +323,10 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         raise PreconditionError(
             f"block schedule {cfg.alphas} violates the spectral-mass condition (cond4)"
         )
-    kap = kappa(w).kappa
+    kap = conditions.kappa
     c_theory = _theory_constant(cfg, kap)
     measure_factor = 0.25 ** (1.0 / cfg.p)
+    coeffs = martingale_spectrum(cfg, Resolution(cfg.required_bits)).coefficients
 
     rows = []
     floors_hold = True
@@ -373,21 +335,18 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         a = cfg.alphas[k]
         bits = 2 * a + 1
         resolution = Resolution(bits)
-        prefix = replace(cfg, alphas=cfg.alphas[: k + 1])
-        f_k = build_martingale(prefix)
-        mean = norlund_mean_multiplier(fwht_forward(f_k), resolution.size, w)
+        prefix = WalshSpectrum(resolution, coeffs[: resolution.size])
+        mean = norlund_mean_multiplier(prefix, resolution.size, w)
         on_cell = np.abs(mean.values[cell_indices(QUARTER_CELL, resolution)])
         floor_measured = float(on_cell.min())
         weak_value = weak_lp(mean, cfg.p).value
-        newest = cfg.block_weight(k) * atom_block(k, cfg, resolution)
-        hardy_value = hardy_norm_estimate(newest, cfg.p).value
         theory = (
             c_theory
             * 2.0 ** (2.0 * a * (1.0 / cfg.p - 1.0 - cfg.alpha_exp))
             / a ** (cfg.beta_exp + 1.0)
         )
         rows.append(
-            DivergenceRow(k, bits, weak_value, floor_measured, theory, hardy_value)
+            DivergenceRow(k, bits, weak_value, floor_measured, theory, cfg.block_weight(k))
         )
         if floor_measured < guaranteed_floor(cfg, k) - _FLOOR_TOL:
             floors_hold = False
@@ -437,9 +396,7 @@ def default_alpha_schedule(
     cap_bits: int = 15,
 ) -> tuple[int, ...]:
     """Geometric schedule a_0 * 4^k capped at 2a+1 <= cap_bits, with the
-    smallest a_0 whose schedule passes the spectral-mass screen (cond4).
-    The sparsity condition cond5 is reported by check_conditions but not
-    required; no schedule fitting desk-scale caps satisfies it."""
+    smallest a_0 whose schedule passes the spectral-mass screen (cond4)."""
     for a0 in range(1, max((cap_bits - 1) // 2, 1) + 1):
         schedule = []
         a = a0

@@ -76,10 +76,7 @@ def cesaro_A(n: int, alpha: float) -> float:
         raise ValueError(f"Cesàro number index must be >= 0, got {n}")
     if alpha < 0 and float(alpha).is_integer():
         raise ValueError(f"Cesàro numbers undefined for alpha = {alpha}")
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= (alpha + j) / j
-    return out
+    return float(_cesaro_prefix(alpha, n + 1)[-1])
 
 
 def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:

@@ -132,17 +132,6 @@ def test_cond4_holds_for_dense_integer_schedules():
     assert rep.cond4_all
 
 
-def test_cond5_display_constant_vanishes_for_log():
-    rep = check_conditions(log_cfg(alphas=(1, 2)))
-    assert rep.display_constant == pytest.approx(0.0, abs=1e-15)
-    assert rep.cond5_display == (False,)
-
-
-def test_cond5_is_none_beyond_weight_horizon():
-    rep = check_conditions(log_cfg(p=0.5, alphas=(1, 4, 16, 64)))
-    assert rep.cond5_kappa == (False, None, None)
-
-
 def test_conditions_survive_huge_exponents():
     # log-domain evaluation; these masses overflow double precision
     rep = check_conditions(log_cfg(p=0.1, alphas=(100, 400, 1600)))
@@ -211,14 +200,15 @@ def test_divergence_rows_use_prefix_martingale():
 
 
 def test_divergence_row_matches_literal_mean():
-    # one row recomputed with the term-by-term mean
-    cfg = log_cfg(alphas=(1, 2))
+    # every row recomputed with the term-by-term mean of the prefix martingale
+    cfg = log_cfg()
     rep = divergence_experiment(cfg)
-    f = build_martingale(cfg)
-    t = norlund_mean_naive(f, f.resolution.size, LOG)
-    assert weak_lp(t, cfg.p).value == pytest.approx(rep.rows[-1].weak_lp_value, rel=1e-12)
-    on_cell = np.abs(t.values[cell_indices(QUARTER_CELL, f.resolution)])
-    assert on_cell.min() == pytest.approx(rep.rows[-1].pointwise_floor, rel=1e-12)
+    for k, row in enumerate(rep.rows):
+        f = build_martingale(replace(cfg, alphas=cfg.alphas[: k + 1]))
+        t = norlund_mean_naive(f, f.resolution.size, LOG)
+        assert weak_lp(t, cfg.p).value == pytest.approx(row.weak_lp_value, rel=1e-12)
+        on_cell = np.abs(t.values[cell_indices(QUARTER_CELL, f.resolution)])
+        assert on_cell.min() == pytest.approx(row.pointwise_floor, rel=1e-12)
 
 
 def test_measured_floor_beats_guaranteed_floor():

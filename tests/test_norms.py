@@ -1,6 +1,6 @@
 """Size functionals against grid and pyramid oracles."""
 
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from walshlab import (
     maximal_function,
     weak_lp,
 )
+
+REPRO = Path(__file__).resolve().parent.parent / "reproduce"
 
 
 def grid_weak_oracle(values: np.ndarray, p: float) -> float:
@@ -130,19 +132,23 @@ def test_maximal_dominates_mean_and_value():
 
 def test_hardy_norm_of_single_block_is_its_weight():
     # one mean-zero block scaled by lam: the maximal function is a single
-    # plateau of height lam * 2^(2a) * h on the rank-2a cell at 0
-    from walshlab import CounterexampleConfig, WeightFamily, atom_block
+    # plateau of height lam * 2^(2a) * h on the rank-2a cell at 0, so the
+    # divergence experiment's closed-form Hardy column a_k^(-1/2) must match
+    # the measured Hardy size of every row's newest block
+    from walshlab import atom_block, divergence_experiment
+    from walshlab.cli import _experiment_config, parse_config_text
 
-    for p, a in ((0.75, 2), (0.7, 3)):
-        cfg = CounterexampleConfig(
-            p=p,
-            weights=WeightFamily.logarithmic(),
-            alphas=(a,),
-            c_const=0.01,
-        )
-        lam = 1.0 / math.sqrt(a)
-        block = lam * atom_block(0, cfg, Resolution(2 * a + 1))
-        assert hardy_norm_estimate(block, p).value == pytest.approx(lam, rel=1e-12)
+    for path in sorted(REPRO.glob("*.cfg")):
+        mapping = parse_config_text(path.read_text())
+        mapping["alphas"] = "1..5"
+        cfg = _experiment_config(mapping)
+        rows = divergence_experiment(cfg).rows
+        for k, a in enumerate(cfg.alphas):
+            lam = cfg.block_weight(k)
+            block = lam * atom_block(k, cfg, Resolution(2 * a + 1))
+            measured = hardy_norm_estimate(block, cfg.p).value
+            assert measured == pytest.approx(lam, rel=1e-12)
+            assert rows[k].hardy_estimate == pytest.approx(measured, rel=1e-12)
 
 
 def test_atomic_norm_estimate_is_p_sum():
