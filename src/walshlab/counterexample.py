@@ -376,14 +376,25 @@ def bounded_case_monitor(
 
     For families with summable structure (Fejér above all) these stay
     bounded; contrast with the divergence experiment's growing column.
+
+    t_(2^n) f combines only the characters w_j with j < 2^n, and those
+    depend only on the first n coordinates: the mean is measurable with
+    respect to the rank-n cells, so on the 2^N grid it is one 2^n-cell
+    block repeated 2^(N-n) times.  Row n therefore synthesizes the mean
+    from the first 2^max(n,1) coefficients at resolution max(n, 1).  The
+    cell values are bit-identical to the full-grid synthesis, whose
+    butterfly stages above stride 2^n only add zeros, and the L_p
+    quasi-norm, a mean over cells, is unchanged by the repetition.
     """
     hardy = hardy_norm_estimate(f, p).value
     if hardy == 0.0:
         raise ValueError("monitor needs a nonzero function")
-    spectrum = fwht_forward(f)
+    coeffs = fwht_forward(f).coefficients
     out = []
     for n in range(f.resolution.bits + 1):
-        mean = norlund_mean_multiplier(spectrum, 1 << n, w)
+        resolution = Resolution(max(n, 1))
+        prefix = WalshSpectrum(resolution, coeffs[: resolution.size])
+        mean = norlund_mean_multiplier(prefix, 1 << n, w)
         out.append((n, lp_quasinorm(mean, p).value / hardy))
     return tuple(out)
 

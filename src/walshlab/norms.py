@@ -2,11 +2,14 @@
 function with its Hardy-space surrogate.
 
 Weak-L_p is computed exactly for step functions.  The distribution
-function lambda -> mu(|f| > lambda) only jumps at the distinct values of
-|f|, and the supremum of lambda * mu(|f| > lambda)^(1/p) is approached
-as lambda climbs to a value v from below, where the measure is that of
-{|f| >= v}.  Scanning the sorted distinct values therefore evaluates the
-supremum with no grid."""
+function lambda -> mu(|f| > lambda) only jumps at the values of |f|, and
+the supremum of lambda * mu(|f| > lambda)^(1/p) is approached as lambda
+climbs to a value v from below, where the measure is that of
+{|f| >= v}.  With the M cell values sorted as m_0 <= ... <= m_(M-1),
+that measure is (M - i)/M at the first index i holding v; the other
+indices of a tied value, and the zeros, only give smaller products.  So
+the maximum of m_i * ((M - i)/M)^(1/p) over all indices, after one sort,
+evaluates the supremum with no grid."""
 
 from __future__ import annotations
 
@@ -53,16 +56,15 @@ def weak_lp(f: DyadicFunction, p: float) -> NormValue:
     """sup over lambda > 0 of lambda * mu(|f| > lambda)^(1/p), exactly."""
     p = _check_p(p)
     magnitudes = np.abs(f.values)
-    levels = np.unique(magnitudes)  # ascending, distinct
-    levels = levels[levels > 0.0]
-    if levels.size == 0:
-        return NormValue("weak_lp", p, 0.0)
-    # mu(|f| >= v) for each distinct positive level v.
+    magnitudes.sort()
     total = magnitudes.size
-    below = np.searchsorted(np.sort(magnitudes), levels, side="left")
-    tail_measure = (total - below) / total
-    value = float(np.max(levels * tail_measure ** (1.0 / p)))
-    return NormValue("weak_lp", p, value)
+    # tail[i] = (M - i)/M, which is mu(|f| >= m_i) at the first index of
+    # each value (see the module docstring for ties and zeros)
+    tail = np.arange(total, 0, -1, dtype=np.float64)
+    tail /= total
+    tail **= 1.0 / p
+    tail *= magnitudes
+    return NormValue("weak_lp", p, float(tail.max()))
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -73,15 +75,15 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     for functions resolved on the grid this is the full dyadic maximal
     function.
     """
-    bits = f.resolution.bits
     level = f.values  # rank-N averages: f itself
-    best = np.abs(level).copy()
-    reps = 1
-    for _ in range(bits, 0, -1):
+    best = np.abs(level)
+    for _ in range(f.resolution.bits):
         half = level.size // 2
         level = 0.5 * (level[:half] + level[half:])
-        reps *= 2
-        np.maximum(best, np.tile(np.abs(level), reps), out=best)
+        # a cell average depends only on the low bits of the index, so
+        # this level repeats with period level.size across the grid
+        periods = best.reshape(-1, level.size)
+        np.maximum(periods, np.abs(level), out=periods)
     return DyadicFunction(f.resolution, best)
 
 

@@ -86,14 +86,18 @@ def rademacher(n: int, resolution: Resolution) -> DyadicFunction:
 def _butterfly(values: np.ndarray) -> np.ndarray:
     # In-place Walsh-Hadamard butterflies over bit strides 1, 2, 4, ...;
     # natural order in equals Paley order out, no reindexing needed.
+    # One half-size scratch buffer holds each stage's differences.
     a = values.astype(np.float64, copy=True)
     size = a.shape[0]
+    scratch = np.empty(size // 2)
     h = 1
     while h < size:
         pairs = a.reshape(-1, 2, h)
-        top = pairs[:, 0, :].copy()
-        pairs[:, 0, :] += pairs[:, 1, :]
-        pairs[:, 1, :] = top - pairs[:, 1, :]
+        top, bottom = pairs[:, 0, :], pairs[:, 1, :]
+        diff = scratch.reshape(-1, h)
+        np.subtract(top, bottom, out=diff)
+        top += bottom
+        bottom[...] = diff
         h *= 2
     return a
 

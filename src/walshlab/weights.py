@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFunction, Resolution
+from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from .transform import WalshSpectrum, _sign_table, fwht_forward, fwht_inverse
 
@@ -61,8 +61,10 @@ __all__ = [
 # Smallest q_0 keeping (q_0, q_1, q_2) convex: 2/ln2 - 1/ln3.
 DEFAULT_VLOG_Q0 = 2.0 / math.log(2.0) - 1.0 / math.log(3.0)
 
-# Refuse to materialize weight prefixes past this horizon.
-MAX_WEIGHT_HORIZON = 1 << 22
+# Refuse to materialize weight prefixes past this horizon: the largest
+# grid admits means of order 2^N, and validate_structure(w, 2^N) reads
+# q_0..q_(2^N).
+MAX_WEIGHT_HORIZON = (1 << MAX_RESOLUTION_BITS) + 1
 
 _STRUCTURE_TOL = 1e-12
 
@@ -179,7 +181,7 @@ class WeightFamily:
             raise ResourceCapError(
                 f"weight horizon {count} exceeds cap {MAX_WEIGHT_HORIZON}"
             )
-        grown = max(count, 2 * self._q.size)
+        grown = min(max(count, 2 * self._q.size), MAX_WEIGHT_HORIZON)
         self._q = self._generate(grown)
         self._qsum = np.concatenate(([0.0], np.cumsum(self._q)))
 

@@ -27,9 +27,13 @@ from walshlab import (
     divergence_experiment,
     fwht_forward,
     guaranteed_floor,
+    hardy_norm_estimate,
     kappa,
+    lp_quasinorm,
     martingale_spectrum,
+    norlund_mean_multiplier,
     norlund_mean_naive,
+    parse_family,
     weak_lp,
 )
 from walshlab.errors import PreconditionError
@@ -252,6 +256,41 @@ def test_monitor_random_fejer_ratios_stay_small():
     f = DyadicFunction(r, rng.standard_normal(r.size))
     pairs = bounded_case_monitor(f, WeightFamily.fejer(), 1.0)
     assert max(v for _, v in pairs) < 10.0
+
+
+MONITOR_FAMILIES = ("fejer", "log", "cesaro:0.25")
+
+
+@pytest.mark.parametrize("label", MONITOR_FAMILIES)
+def test_monitor_rows_match_full_grid_means(label):
+    # each row is computed on the 2^n cells t_(2^n) f depends on; the
+    # full-grid synthesis of the same mean must give the same ratio
+    w = parse_family(label)
+    rng = np.random.default_rng(203)
+    for bits in (1, 2, 10):
+        r = Resolution(bits)
+        f = DyadicFunction(r, rng.standard_normal(r.size))
+        spectrum = fwht_forward(f)
+        for p in (0.5, 0.75, 1.0):
+            hardy = hardy_norm_estimate(f, p).value
+            pairs = bounded_case_monitor(f, w, p)
+            assert [n for n, _ in pairs] == list(range(bits + 1))
+            for n, ratio in pairs:
+                mean = norlund_mean_multiplier(spectrum, 1 << n, w)
+                expect = lp_quasinorm(mean, p).value / hardy
+                assert ratio == pytest.approx(expect, rel=1e-12), (label, bits, p, n)
+
+
+@pytest.mark.parametrize("label", MONITOR_FAMILIES)
+def test_monitor_rows_match_literal_mean(label):
+    w = parse_family(label)
+    r = Resolution(6)
+    f = DyadicFunction(r, np.random.default_rng(204).standard_normal(r.size))
+    p = 0.75
+    hardy = hardy_norm_estimate(f, p).value
+    for n, ratio in bounded_case_monitor(f, w, p):
+        expect = lp_quasinorm(norlund_mean_naive(f, 1 << n, w), p).value / hardy
+        assert ratio == pytest.approx(expect, rel=1e-12), (label, n)
 
 
 def test_monitor_rejects_zero_function():

@@ -74,6 +74,33 @@ def test_weak_lp_zero_function():
     assert weak_lp(DyadicFunction.constant(0.0, r), 0.7).value == 0.0
 
 
+def distribution_scan_oracle(values: np.ndarray, p: float) -> float:
+    """Literal scan of the distribution function: for each distinct
+    positive level v of |f|, count the cells with |f| >= v."""
+    mags = [abs(float(v)) for v in values]
+    best = 0.0
+    for v in sorted(set(mags)):
+        if v > 0.0:
+            tail = sum(1 for m in mags if m >= v) / len(mags)
+            best = max(best, v * tail ** (1.0 / p))
+    return best
+
+
+def test_weak_lp_with_ties_and_zeros_matches_distribution_scan():
+    rng = np.random.default_rng(14)
+    r = Resolution(8)
+    for p in (0.3, 0.75, 1.0, 1.5):
+        for zero_share in (0.0, 0.5, 0.9):
+            # few distinct levels, each repeated many times, many zeros
+            values = rng.choice([-3.0, -1.0, 0.5, 1.0, 2.0, 3.0], size=r.size)
+            values[rng.random(r.size) < zero_share] = 0.0
+            exact = weak_lp(DyadicFunction(r, values), p).value
+            assert exact == pytest.approx(distribution_scan_oracle(values, p), rel=1e-14)
+        steps = np.repeat([0.0, 4.0, 0.0, 1.0, 1.0, 4.0, 0.0, 2.0], r.size // 8)
+        exact = weak_lp(DyadicFunction(r, steps), p).value
+        assert exact == pytest.approx(distribution_scan_oracle(steps, p), rel=1e-14)
+
+
 def test_weak_lp_matches_grid_oracle_smoke():
     rng = np.random.default_rng(11)
     r = Resolution(6)
@@ -108,11 +135,12 @@ def maximal_oracle(values: np.ndarray, bits: int) -> np.ndarray:
 
 def test_maximal_function_matches_oracle():
     rng = np.random.default_rng(12)
-    r = Resolution(7)
-    for _ in range(5):
-        values = rng.standard_normal(r.size)
-        got = maximal_function(DyadicFunction(r, values)).values
-        assert np.abs(got - maximal_oracle(values, 7)).max() < 1e-13
+    for bits in range(1, 11):
+        r = Resolution(bits)
+        for _ in range(5):
+            values = rng.standard_normal(r.size)
+            got = maximal_function(DyadicFunction(r, values)).values
+            assert np.abs(got - maximal_oracle(values, bits)).max() < 1e-13, bits
 
 
 def test_maximal_of_constant_is_its_magnitude():

@@ -94,6 +94,20 @@ def test_inverse_matches_direct_synthesis():
     assert np.abs(got - direct).max() < 1e-13
 
 
+def test_transform_pair_exact_on_integer_inputs():
+    # integer inputs keep every butterfly sum exact, and the 2^-N scaling
+    # is exact too, so both directions must equal the matrix products
+    rng = np.random.default_rng(47)
+    for bits in range(1, 9):
+        r = Resolution(bits)
+        W = walsh_matrix(bits)
+        values = rng.integers(-1000, 1001, size=r.size)
+        forward = fwht_forward(DyadicFunction(r, values)).coefficients
+        assert np.array_equal(forward, (W @ values) / r.size), bits
+        inverse = fwht_inverse(WalshSpectrum(r, values)).values
+        assert np.array_equal(inverse, (W.T @ values).astype(np.float64)), bits
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=50)
 def test_round_trip_recovers_values(seed):

@@ -30,7 +30,7 @@ from walshlab import (
     ualpha_kappa_threshold,
     validate_structure,
 )
-from walshlab.errors import DegenerateWeightsError, DegreeError
+from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
 
 
 ALL_FAMILIES = [
@@ -144,6 +144,16 @@ def test_structure_screen_flags_concave():
 
 
 # --- kappa ------------------------------------------------------------------
+
+
+def test_weight_horizon_admits_the_largest_grid():
+    # the 24-bit grid needs means of order 2^24 and the structure screen
+    # reads one weight past its horizon; fresh families so the large
+    # caches die with the test
+    assert WeightFamily.fejer().Q(1 << 24) == float(1 << 24)
+    with pytest.raises(ResourceCapError):
+        WeightFamily.fejer().Q((1 << 24) + 2)
+    assert validate_structure(WeightFamily.logarithmic(), 1 << 23).ok
 
 
 def test_kappa_closed_forms():
