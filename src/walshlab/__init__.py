@@ -60,7 +60,6 @@ from .weights import (
 )
 from .norms import (
     NormValue,
-    atomic_norm_estimate,
     hardy_norm_estimate,
     lp_quasinorm,
     maximal_function,
@@ -77,7 +76,6 @@ from .counterexample import (
     build_martingale,
     check_conditions,
     check_jig,
-    default_alpha_schedule,
     divergence_experiment,
     guaranteed_floor,
     martingale_spectrum,
@@ -144,7 +142,6 @@ __all__ = [
     "weak_lp",
     "maximal_function",
     "hardy_norm_estimate",
-    "atomic_norm_estimate",
     "atom_block",
     "build_martingale",
     "martingale_spectrum",
@@ -153,7 +150,6 @@ __all__ = [
     "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
-    "default_alpha_schedule",
     "identity_suite",
     "kernel_lower_bound_check",
 ]

@@ -9,19 +9,22 @@ Subcommands
     diverge     the blow-up experiment from a config file
     monitor     bounded-regime ratios for a function and weight family
 
-Exit codes: 0 success, 2 config error, 3 assertion failure, 4 resource cap.
-All floats are printed with 9 significant digits; CSV and JSON runs of the
-same command carry identical numeric values.  Run constants and summary
-verdicts go to stderr so the data stream stays machine-readable.
+Exit codes: 0 success, 2 config error (invalid input, or an --out path that
+cannot be written), 3 assertion failure, 4 resource cap.  All floats are
+printed with 9 significant digits unless --full-precision asks for the
+shortest round-tripping form; CSV and JSON runs of the same command carry
+identical numeric values.  Run constants and summary verdicts go to stderr
+so the data stream stays machine-readable.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .transform import (
     walsh_function,
 )
 from .weights import (
-    WeightFamily,
     cesaro_kappa_threshold,
     kappa,
     kernel_sum,
@@ -56,76 +58,68 @@ __all__ = [
     "main",
     "parse_config_text",
     "serialize_config",
-    "round9",
 ]
 
 
-def round9(x: float) -> float:
-    """The shared 9-significant-digit rounding both encoders go through."""
-    return float(f"{float(x):.9g}")
+def _float_text(v: float, full: bool) -> str:
+    # the one rounding both encoders share, so CSV and JSON agree exactly
+    return repr(float(v)) if full else f"{v:.9g}"
 
 
-_FULL_PRECISION = False
-
-
-def _format_cell(v: Any) -> str:
+def _csv_cell(v: Any, full: bool) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v) if _FULL_PRECISION else f"{v:.9g}"
+        return _float_text(v, full)
     if v is None:
         return ""
     return str(v)
 
 
-def _json_cell(v: Any) -> Any:
-    # same rounding as the CSV path so the two encodings agree exactly
+def _json_cell(v: Any, full: bool) -> Any:
     if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
         return v
     if isinstance(v, float):
-        return v if _FULL_PRECISION else round9(v)
+        return float(_float_text(v, full))
     if isinstance(v, (list, tuple)):
-        return [_json_cell(item) for item in v]
+        return [_json_cell(item, full) for item in v]
     return str(v)
 
 
 def _emit(
-    out_path: str | None,
-    fmt: str,
+    args: argparse.Namespace,
     columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    rows: Sequence[Sequence[Any]],
     meta: dict[str, Any],
 ) -> None:
-    rows = list(rows)
+    """Write one table to ``args.out`` (or stdout) in ``args.format``."""
+    fmt, full = args.format or "csv", args.full_precision
     if fmt == "csv":
-        text_target = (
-            open(out_path, "w", encoding="utf-8", newline="")
-            if out_path
-            else sys.stdout
-        )
-        try:
-            writer = csv.writer(text_target, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(v) for v in row])
-        finally:
-            if out_path:
-                text_target.close()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(v, full) for v in row] for row in rows)
+        text = buf.getvalue()
     elif fmt == "json":
         payload = {
-            "meta": {k: _json_cell(v) for k, v in meta.items()},
+            "meta": {k: _json_cell(v, full) for k, v in meta.items()},
             "rows": [
-                {c: _json_cell(v) for c, v in zip(columns, row)} for row in rows
+                {c: _json_cell(v, full) for c, v in zip(columns, row)} for row in rows
             ],
         }
         text = json.dumps(payload, indent=2) + "\n"
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], list]:
+    """Columns and rows of a per-cell table: (index, value) pairs."""
+    return ("index", column), list(enumerate(values.tolist()))
 
 
 def _note(line: str) -> None:
@@ -202,10 +196,7 @@ def _experiment_config(mapping: dict[str, str]) -> CounterexampleConfig:
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        weights = parse_family(mapping["family"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    weights = parse_family(mapping["family"])
     try:
         return CounterexampleConfig(
             p=_get_float(mapping, "p"),
@@ -287,13 +278,6 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
     )
 
 
-def _family(label: str) -> WeightFamily:
-    try:
-        return parse_family(label)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _resolution(args: argparse.Namespace) -> Resolution:
     if args.n is None:
         raise ConfigError("this command needs --n <resolution bits>")
@@ -301,12 +285,13 @@ def _resolution(args: argparse.Namespace) -> Resolution:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (columns, rows, meta, exit status) for main to emit
+
+_Table = tuple[Sequence[str], Sequence[Sequence[Any]], dict[str, Any], int]
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> _Table:
     resolution = _resolution(args)
-    meta = {"command": "transform", "version": __version__, "n": resolution.bits}
     if args.inverse:
         if not args.f.startswith("file:"):
             raise ConfigError("--inverse needs --f file:PATH with coefficients")
@@ -316,25 +301,20 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                 f"got {coeffs.size} coefficients, need {resolution.size}"
             )
         g = fwht_inverse(WalshSpectrum(resolution, coeffs))
-        rows = [(i, float(v)) for i, v in enumerate(g.values)]
-        _emit(args.out, args.format or "csv", ("index", "value"), rows, meta | {"inverse": True})
-        return 0
+        return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
     f = _function_from_spec(args.f, resolution, args.seed)
     spectrum = fwht_forward(f)
-    rows = [(i, float(c)) for i, c in enumerate(spectrum.coefficients)]
-    _emit(args.out, args.format or "csv", ("index", "coefficient"), rows, meta | {"f": args.f})
-    return 0
+    meta = {"n": resolution.bits, "f": args.f}
+    return *_indexed(spectrum.coefficients, "coefficient"), meta, 0
 
 
-def _cmd_kernels(args: argparse.Namespace) -> int:
+def _cmd_kernels(args: argparse.Namespace) -> _Table:
     resolution = _resolution(args)
-    meta: dict[str, Any] = {
-        "command": "kernels",
-        "version": __version__,
-        "n": resolution.bits,
-    }
+    meta: dict[str, Any] = {"n": resolution.bits}
     if args.block is not None:
-        w = _family(args.family)
+        w = parse_family(args.family)
+        if args.block < 0:
+            raise ConfigError(f"block exponent must be >= 0, got {args.block}")
         lo, hi = 1 << (2 * args.block), 1 << (2 * args.block + 1)
         if hi > resolution.size:
             raise ConfigError(
@@ -347,28 +327,17 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
             raise ConfigError("kernels needs --order N (or --block A with --family)")
         values = dirichlet_kernel(args.order, resolution).values
         meta |= {"order": args.order}
-    rows = [(i, float(v)) for i, v in enumerate(values)]
-    _emit(args.out, args.format or "csv", ("index", "value"), rows, meta)
-    return 0
+    return *_indexed(values, "value"), meta, 0
 
 
-def _cmd_mean(args: argparse.Namespace) -> int:
+def _cmd_mean(args: argparse.Namespace) -> _Table:
     resolution = _resolution(args)
-    w = _family(args.family)
+    w = parse_family(args.family)
     order = args.order if args.order is not None else resolution.size
     f = _function_from_spec(args.f, resolution, args.seed)
     mean = norlund_mean_multiplier(fwht_forward(f), order, w)
-    meta = {
-        "command": "mean",
-        "version": __version__,
-        "n": resolution.bits,
-        "family": w.label,
-        "order": order,
-        "f": args.f,
-    }
-    rows = [(i, float(v)) for i, v in enumerate(mean.values)]
-    _emit(args.out, args.format or "csv", ("index", "value"), rows, meta)
-    return 0
+    meta = {"n": resolution.bits, "family": w.label, "order": order, "f": args.f}
+    return *_indexed(mean.values, "value"), meta, 0
 
 
 _DEFAULT_KAPPA_FAMILIES = (
@@ -381,61 +350,41 @@ _DEFAULT_KAPPA_FAMILIES = (
 )
 
 
-def _cmd_kappa(args: argparse.Namespace) -> int:
+def _cmd_kappa(args: argparse.Namespace) -> _Table:
     labels = args.families or list(_DEFAULT_KAPPA_FAMILIES)
     rows = []
     for label in labels:
-        w = _family(label)
-        rep = kappa(w)
+        rep = kappa(parse_family(label))
         threshold: float | None = None
         if label.startswith("cesaro"):
             threshold = cesaro_kappa_threshold()
         elif label.startswith("ualpha"):
             threshold = ualpha_kappa_threshold()
         rows.append((rep.family, rep.kappa, rep.positive, threshold))
-    meta = {"command": "kappa", "version": __version__}
-    _emit(args.out, args.format or "csv", ("family", "kappa", "positive", "threshold"), rows, meta)
-    return 0
+    return ("family", "kappa", "positive", "threshold"), rows, {}, 0
 
 
-def _cmd_lemma2(args: argparse.Namespace) -> int:
-    w = _family(args.family)
+def _cmd_lemma2(args: argparse.Namespace) -> _Table:
+    w = parse_family(args.family)
     exponents = _parse_alphas(args.alphas)
     if any(a < 1 for a in exponents):
         raise ConfigError(f"block exponents must be >= 1, got {exponents}")
+    resolution = Resolution(args.n) if args.n is not None else None
     rows = []
-    hard_fail = False
     for a in exponents:
-        resolution = Resolution(args.n) if args.n is not None else None
         rep = kernel_lower_bound_check(w, a, resolution)
-        vacuous = rep.kappa <= 0.0
-        if not rep.passed:
-            hard_fail = True
         rows.append(
             (rep.family, rep.block_exp, rep.bits, rep.min_abs_kernel, rep.kappa,
-             rep.passed, vacuous)
+             rep.passed, rep.kappa <= 0.0)
         )
-    meta = {
-        "command": "lemma2",
-        "version": __version__,
-        "family": w.label,
-        "kappa": kappa(w).kappa,
-    }
-    _emit(
-        args.out,
-        args.format or "csv",
-        ("family", "alpha", "n", "min_abs_kernel", "kappa", "passed", "vacuous"),
-        rows,
-        meta,
-    )
-    _note(
-        f"lemma2: {w.label}, kappa = {kappa(w).kappa:.9g}, "
-        f"{sum(1 for r in rows if r[5])}/{len(rows)} rows passed"
-    )
-    return 3 if hard_fail else 0
+    passed = sum(1 for r in rows if r[5])
+    kap = kappa(w).kappa
+    _note(f"lemma2: {w.label}, kappa = {kap:.9g}, {passed}/{len(rows)} rows passed")
+    columns = ("family", "alpha", "n", "min_abs_kernel", "kappa", "passed", "vacuous")
+    return columns, rows, {"family": w.label, "kappa": kap}, 0 if passed == len(rows) else 3
 
 
-def _cmd_diverge(args: argparse.Namespace) -> int:
+def _cmd_diverge(args: argparse.Namespace) -> _Table:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             mapping = parse_config_text(fh.read())
@@ -446,14 +395,20 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
         mapping["p"] = repr(args.p)
     if args.family is not None:
         mapping["family"] = args.family
-    fmt = args.format or mapping.get("format", "csv")
-    out = args.out or mapping.get("out") or None
+    args.format = args.format or mapping.get("format")
+    args.out = args.out or mapping.get("out") or None
     cfg = _experiment_config(mapping)
 
     report = divergence_experiment(cfg)
     _note(f"diverge: family = {cfg.weights.label}, p = {cfg.p:g}, alphas = {cfg.alphas}")
     _note(f"diverge: kappa = {report.kappa:.9g}, theory constant c = {report.theory_constant:.9g}")
     _note(f"diverge: {THEORY_CONSTANT_FORMULA}")
+    _note(
+        "diverge: ratios_strictly_increasing="
+        f"{str(report.ratios_strictly_increasing).lower()} "
+        f"floors_hold={str(report.floors_hold).lower()} "
+        f"weak_floor_consistent={str(report.weak_floor_consistent).lower()}"
+    )
     columns = ("k", "N", "weak_lp", "pointwise_floor", "theory_bound",
                "hardy_estimate", "ratio")
     rows = [
@@ -462,8 +417,6 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
         for r in report.rows
     ]
     meta = {
-        "command": "diverge",
-        "version": __version__,
         "family": cfg.weights.label,
         "p": cfg.p,
         "alphas": list(cfg.alphas),
@@ -477,51 +430,43 @@ def _cmd_diverge(args: argparse.Namespace) -> int:
         "weak_floor_consistent": report.weak_floor_consistent,
         "ok": report.ok,
     }
-    _emit(out, fmt, columns, rows, meta)
-    _note(
-        "diverge: ratios_strictly_increasing="
-        f"{str(report.ratios_strictly_increasing).lower()} "
-        f"floors_hold={str(report.floors_hold).lower()} "
-        f"weak_floor_consistent={str(report.weak_floor_consistent).lower()}"
-    )
-    return 0 if report.ok else 3
+    return columns, rows, meta, 0 if report.ok else 3
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args: argparse.Namespace) -> _Table:
     resolution = _resolution(args)
-    w = _family(args.family)
+    w = parse_family(args.family)
     f = _function_from_spec(args.f, resolution, args.seed)
     pairs = bounded_case_monitor(f, w, args.p)
+    worst = max(r for _, r in pairs)
+    _note(f"monitor: {w.label}, p = {args.p:g}, max ratio = {worst:.9g}")
     meta = {
-        "command": "monitor",
-        "version": __version__,
         "family": w.label,
         "p": args.p,
         "n": resolution.bits,
         "f": args.f,
         "seed": args.seed,
     }
-    rows = [(n, float(r)) for n, r in pairs]
-    _emit(args.out, args.format or "csv", ("n", "ratio"), rows, meta)
-    worst = max(r for _, r in pairs)
-    _note(f"monitor: {w.label}, p = {args.p:g}, max ratio = {worst:.9g}")
-    return 0
+    return ("n", "ratio"), pairs, meta, 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="resolution bits")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64)")
-    sub.add_argument(
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as an argparse parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, default=None, help="resolution bits")
+    common.add_argument("--out", default=None, help="output path (default stdout)")
+    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64)")
+    common.add_argument(
         "--full-precision",
         action="store_true",
         help="write floats at full precision instead of 9 significant digits",
     )
+    return common
 
 
 def _seed(text: str) -> int:
@@ -542,47 +487,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"walshlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
 
-    p = subs.add_parser("transform", help="Walsh spectrum of a function spec")
-    _add_common(p)
+    p = subs.add_parser("transform", help="Walsh spectrum of a function spec", parents=common)
     p.add_argument("--f", default="const:1", help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
     p.add_argument("--inverse", action="store_true", help="synthesize values from file:PATH coefficients")
     p.set_defaults(func=_cmd_transform)
 
-    p = subs.add_parser("kernels", help="Dirichlet kernel or weighted block kernel values")
-    _add_common(p)
+    p = subs.add_parser("kernels", help="Dirichlet kernel or weighted block kernel values", parents=common)
     p.add_argument("--order", type=int, default=None, help="Dirichlet kernel order")
     p.add_argument("--family", default="log", help="weight family for --block mode")
     p.add_argument("--block", type=int, default=None, help="block exponent a: window [2^(2a), 2^(2a+1)]")
     p.set_defaults(func=_cmd_kernels)
 
-    p = subs.add_parser("mean", help="Nörlund mean of a function spec")
-    _add_common(p)
+    p = subs.add_parser("mean", help="Nörlund mean of a function spec", parents=common)
     p.add_argument("--f", default="rand", help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
     p.add_argument("--family", default="fejer")
     p.add_argument("--order", type=int, default=None, help="mean order (default 2^n)")
     p.set_defaults(func=_cmd_mean)
 
-    p = subs.add_parser("kappa", help="kernel floor constants per family")
-    _add_common(p)
+    p = subs.add_parser("kappa", help="kernel floor constants per family", parents=common)
     p.add_argument("families", nargs="*", help=f"default: {' '.join(_DEFAULT_KAPPA_FAMILIES)}")
     p.set_defaults(func=_cmd_kappa)
 
-    p = subs.add_parser("lemma2", help="kernel lower bound check over block exponents")
-    _add_common(p)
+    p = subs.add_parser("lemma2", help="kernel lower bound check over block exponents", parents=common)
     p.add_argument("--family", required=True)
     p.add_argument("--alphas", default="1..4", help="exponent list '1,2,3' or range '1..4'")
     p.set_defaults(func=_cmd_lemma2)
 
-    p = subs.add_parser("diverge", help="blow-up experiment from a config file")
-    _add_common(p)
+    p = subs.add_parser("diverge", help="blow-up experiment from a config file", parents=common)
     p.add_argument("--config", required=True, help="flat key = value config file")
     p.add_argument("--p", type=float, default=None, help="override the config's p")
     p.add_argument("--family", default=None, help="override the config's family")
     p.set_defaults(func=_cmd_diverge)
 
-    p = subs.add_parser("monitor", help="bounded-regime ratio monitor")
-    _add_common(p)
+    p = subs.add_parser("monitor", help="bounded-regime ratio monitor", parents=common)
     p.add_argument("--f", default="rand")
     p.add_argument("--family", default="fejer")
     p.add_argument("--p", type=float, default=1.0)
@@ -592,18 +531,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    global _FULL_PRECISION
-    _FULL_PRECISION = bool(getattr(args, "full_precision", False))
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        columns, rows, meta, status = args.func(args)
+        meta = {"command": args.command, "version": __version__} | meta
+        _emit(args, columns, rows, meta)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except WalshLabError as exc:
+    except (WalshLabError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ __all__ = [
     "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
-    "default_alpha_schedule",
 ]
 
 _FLOOR_TOL = 1e-12
@@ -216,9 +215,8 @@ def check_jig(cfg: CounterexampleConfig, n_max: int) -> JigReport:
     kap = kappa(w).kappa
     if kap <= 0.0:
         raise PreconditionError(f"kernel floor of {w.label} is not positive")
-    w._ensure(n_max)
     n = np.arange(2, n_max + 1, dtype=np.float64)
-    Qn = w._qsum[2 : n_max + 1]
+    Qn = w.Q_array(n_max)[2:]
     ratio = kap * n**cfg.alpha_exp * np.log(n) ** cfg.beta_exp / Qn
     best_global = float(ratio.min())
     sub = [1 << (2 * a + 1) for a in cfg.alphas if (1 << (2 * a + 1)) <= n_max]
@@ -397,33 +395,3 @@ def bounded_case_monitor(
         mean = norlund_mean_multiplier(prefix, 1 << n, w)
         out.append((n, lp_quasinorm(mean, p).value / hardy))
     return tuple(out)
-
-
-def default_alpha_schedule(
-    p: float,
-    weights: WeightFamily,
-    alpha_exp: float = 0.0,
-    beta_exp: float = 0.0,
-    cap_bits: int = 15,
-) -> tuple[int, ...]:
-    """Geometric schedule a_0 * 4^k capped at 2a+1 <= cap_bits, with the
-    smallest a_0 whose schedule passes the spectral-mass screen (cond4)."""
-    for a0 in range(1, max((cap_bits - 1) // 2, 1) + 1):
-        schedule = []
-        a = a0
-        while 2 * a + 1 <= cap_bits:
-            schedule.append(a)
-            a *= 4
-        if len(schedule) < 2:
-            break
-        cfg = CounterexampleConfig(
-            p=p,
-            weights=weights,
-            alphas=tuple(schedule),
-            alpha_exp=alpha_exp,
-            beta_exp=beta_exp,
-            c_const=1.0,
-        )
-        if check_conditions(cfg).cond4_all:
-            return tuple(schedule)
-    raise ValueError(f"no feasible schedule of length >= 2 under {cap_bits} bits")

@@ -25,7 +25,6 @@ __all__ = [
     "weak_lp",
     "maximal_function",
     "hardy_norm_estimate",
-    "atomic_norm_estimate",
 ]
 
 
@@ -33,7 +32,7 @@ __all__ = [
 class NormValue:
     """A computed size functional, tagged with which one it is."""
 
-    kind: str  # "lp" | "weak_lp" | "hardy" | "atomic"
+    kind: str  # "lp" | "weak_lp" | "hardy"
     p: float
     value: float
 
@@ -91,13 +90,3 @@ def hardy_norm_estimate(f: DyadicFunction, p: float) -> NormValue:
     """L_p quasi-norm of the maximal function: the desk-scale H_p size."""
     p = _check_p(p)
     return NormValue("hardy", p, lp_quasinorm(maximal_function(f), p).value)
-
-
-def atomic_norm_estimate(coefficients, p: float) -> NormValue:
-    """(sum |mu_k|^p)^(1/p) for an atomic decomposition's coefficients."""
-    p = _check_p(p)
-    arr = np.asarray(coefficients, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("atomic coefficients must be finite")
-    value = float(np.sum(np.abs(arr) ** p) ** (1.0 / p))
-    return NormValue("atomic", p, value)

@@ -207,6 +207,16 @@ class WeightFamily:
             self._ensure(n)
         return float(self._qsum[n])
 
+    def Q_array(self, n: int) -> np.ndarray:
+        """Q_0..Q_n as a read-only view of the cached prefix sums (no copy)."""
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
+        if n > 0:
+            self._ensure(n)
+        view = self._qsum[: n + 1]
+        view.flags.writeable = False
+        return view
+
     @property
     def label(self) -> str:
         """Canonical name; reparses to an equal family."""
@@ -327,8 +337,7 @@ def norlund_multipliers(w: WeightFamily, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"mean order must be >= 1, got {n}")
     Qn = _checked_Q(w, n)
-    w._ensure(n)
-    return w._qsum[1 : n + 1][::-1] / Qn
+    return w.Q_array(n)[1:][::-1] / Qn
 
 
 def norlund_mean_multiplier(
@@ -370,9 +379,9 @@ def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> Dyadi
     size = resolution.size
     if not 1 <= a <= b <= size:
         raise DegreeError(f"kernel window [{a}, {b}] out of range (1..{size})")
-    w._ensure(b - a + 1)
+    Q = w.Q_array(b - a + 1)
     coeffs = np.zeros(size)
-    coeffs[:a] = w._qsum[b - a + 1]
+    coeffs[:a] = Q[b - a + 1]
     if b > a:
-        coeffs[a:b] = w._qsum[1 : b - a + 1][::-1]
+        coeffs[a:b] = Q[1 : b - a + 1][::-1]
     return fwht_inverse(WalshSpectrum(resolution, coeffs))

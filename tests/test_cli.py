@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walshlab
 import walshlab.cli as cli
 from walshlab.cli import main, parse_config_text, serialize_config
 
@@ -273,3 +278,78 @@ def test_mean_of_constant_is_constant(capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert all(r[1] == "2" for r in rows)
+
+
+# --- shared emit path and error mapping ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("transform", "--n", "0"), "at least 1 bit"),
+        (("lemma2", "--family", "log", "--alphas", "3", "--n", "3"), "needs at least 7 bits"),
+        (("monitor", "--n", "4", "--f", "const:0"), "nonzero function"),
+        (("monitor", "--n", "4", "--p", "-1"), "p must be positive"),
+        (("kernels", "--n", "4", "--block", "-1"), "block exponent must be >= 0"),
+        (("kappa", "--out", "{tmp}/missing/rows.csv"), "No such file"),
+        (("transform", "--n", "3", "--format", "json", "--out", "{tmp}/missing/rows.json"),
+         "No such file"),
+    ],
+)
+def test_bad_input_is_config_error(argv, message, tmp_path, capsys):
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert message in err
+
+
+def test_module_entry_point_exits_2_without_traceback():
+    src = str(Path(walshlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "walshlab.cli", "transform", "--n", "0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _csv_matches_json(cell, jv):
+    if isinstance(jv, bool):
+        return cell == ("true" if jv else "false")
+    if jv is None:
+        return cell == ""
+    if isinstance(jv, float):
+        return float(cell) == jv
+    return type(jv)(cell) == jv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--n", "5", "--f", "rand", "--seed", "3"),
+        ("kernels", "--n", "5", "--order", "11"),
+        ("kernels", "--n", "5", "--block", "1", "--family", "vlog"),
+        ("mean", "--n", "5", "--family", "cesaro:0.25", "--order", "19"),
+        ("kappa",),
+        ("lemma2", "--family", "vlog", "--alphas", "1..3"),
+        ("monitor", "--n", "6", "--family", "log", "--p", "0.75"),
+    ],
+)
+@pytest.mark.parametrize("full", [(), ("--full-precision",)])
+def test_csv_and_json_encodings_agree(argv, full, capsys):
+    code, out_csv, _ = run(capsys, *argv, *full)
+    assert code == 0
+    code, out_json, _ = run(capsys, *argv, *full, "--format", "json")
+    assert code == 0
+    payload = json.loads(out_json)
+    assert payload["meta"]["command"] == argv[0]
+    assert payload["meta"]["version"] == walshlab.__version__
+    header, rows = read_csv(out_csv)
+    assert len(rows) == len(payload["rows"]) > 0
+    for row, jrow in zip(rows, payload["rows"]):
+        assert list(jrow) == header
+        for name, cell in zip(header, row):
+            assert _csv_matches_json(cell, jrow[name]), (name, cell, jrow[name])

@@ -23,7 +23,6 @@ from walshlab import (
     cell_indices,
     check_conditions,
     check_jig,
-    default_alpha_schedule,
     divergence_experiment,
     fwht_forward,
     guaranteed_floor,
@@ -140,11 +139,6 @@ def test_conditions_survive_huge_exponents():
     # log-domain evaluation; these masses overflow double precision
     rep = check_conditions(log_cfg(p=0.1, alphas=(100, 400, 1600)))
     assert rep.cond4_all
-
-
-def test_default_schedule_is_sparse_geometric():
-    assert default_alpha_schedule(0.75, LOG) == (1, 4)
-    assert default_alpha_schedule(0.75, LOG, cap_bits=35) == (1, 4, 16)
 
 
 # --- growth condition scan --------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from walshlab import (
     DyadicFunction,
     Resolution,
-    atomic_norm_estimate,
     dirichlet_kernel,
     hardy_norm_estimate,
     lp_quasinorm,
@@ -177,10 +176,3 @@ def test_hardy_norm_of_single_block_is_its_weight():
             measured = hardy_norm_estimate(block, cfg.p).value
             assert measured == pytest.approx(lam, rel=1e-12)
             assert rows[k].hardy_estimate == pytest.approx(measured, rel=1e-12)
-
-
-def test_atomic_norm_estimate_is_p_sum():
-    got = atomic_norm_estimate([1.0, 0.5, 0.25], 0.75).value
-    expect = (1.0 + 0.5**0.75 + 0.25**0.75) ** (1.0 / 0.75)
-    assert got == pytest.approx(expect, rel=1e-14)
-    assert atomic_norm_estimate([], 0.5).value == 0.0
