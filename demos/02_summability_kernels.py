@@ -28,7 +28,8 @@ def main() -> None:
     for k in range(4):
         values = dirichlet_kernel(1 << k, r).values
         print(f"  D_{1 << k:<2}: {values.tolist()}")
-    print("each is 2^k on the first 2^(4-k)-cell block and 0 elsewhere;")
+    print("each is 2^k on the rank-k cell at 0 (indices divisible by 2^k)")
+    print("and 0 elsewhere;")
     print("the L1 norm is exactly 1 for every power of two:")
     for k in range(5):
         d = dirichlet_kernel(1 << k, r)

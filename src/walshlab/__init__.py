@@ -15,14 +15,8 @@ from .dyadic import (
     QUARTER_CELL,
     DyadicCell,
     DyadicFunction,
-    DyadicPoint,
     Resolution,
-    basis_point,
-    cell_indicator,
     cell_indices,
-    cell_of,
-    group_add,
-    integrate,
 )
 from .errors import (
     ConfigError,
@@ -38,8 +32,6 @@ from .transform import (
     fwht_forward,
     fwht_inverse,
     partial_sum,
-    rademacher,
-    walsh_eval,
     walsh_function,
 )
 from .weights import (
@@ -47,7 +39,6 @@ from .weights import (
     KappaReport,
     StructureReport,
     WeightFamily,
-    cesaro_A,
     cesaro_kappa_threshold,
     kappa,
     kernel_sum,
@@ -81,9 +72,7 @@ from .counterexample import (
     martingale_spectrum,
 )
 from .kernel_checks import (
-    IdentityReport,
     KernelBoundReport,
-    identity_suite,
     kernel_lower_bound_check,
 )
 
@@ -94,7 +83,6 @@ __all__ = [
     "QUARTER_CELL",
     "DEFAULT_VLOG_Q0",
     "Resolution",
-    "DyadicPoint",
     "DyadicCell",
     "DyadicFunction",
     "WalshSpectrum",
@@ -103,7 +91,6 @@ __all__ = [
     "KappaReport",
     "StructureReport",
     "KernelBoundReport",
-    "IdentityReport",
     "CounterexampleConfig",
     "ConditionsReport",
     "JigReport",
@@ -115,21 +102,13 @@ __all__ = [
     "PreconditionError",
     "ResourceCapError",
     "ConfigError",
-    "group_add",
-    "basis_point",
-    "cell_of",
     "cell_indices",
-    "cell_indicator",
-    "integrate",
-    "walsh_eval",
     "walsh_function",
-    "rademacher",
     "fwht_forward",
     "fwht_inverse",
     "partial_sum",
     "dirichlet_kernel",
     "parse_family",
-    "cesaro_A",
     "validate_structure",
     "kappa",
     "cesaro_kappa_threshold",
@@ -150,6 +129,5 @@ __all__ = [
     "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
-    "identity_suite",
     "kernel_lower_bound_check",
 ]

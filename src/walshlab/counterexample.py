@@ -136,7 +136,7 @@ def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> Dya
         )
     hi = dirichlet_kernel(1 << (2 * a + 1), resolution)
     lo = dirichlet_kernel(1 << (2 * a), resolution)
-    return cfg.block_height(k) * (hi - lo)
+    return DyadicFunction(resolution, cfg.block_height(k) * (hi.values - lo.values))
 
 
 def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
@@ -262,7 +262,6 @@ class DivergenceReport:
     kappa: float
     theory_constant: float
     conditions: ConditionsReport
-    jig: JigReport
     ratios_strictly_increasing: bool
     floors_hold: bool
     weak_floor_consistent: bool
@@ -353,14 +352,12 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
 
     ratios = [r.ratio for r in rows]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    jig = check_jig(cfg, 1 << cfg.required_bits)
     return DivergenceReport(
         cfg,
         tuple(rows),
         kap,
         c_theory,
         conditions,
-        jig,
         increasing,
         floors_hold,
         weak_consistent,
@@ -386,7 +383,7 @@ def bounded_case_monitor(
     """
     hardy = hardy_norm_estimate(f, p).value
     if hardy == 0.0:
-        raise ValueError("monitor needs a nonzero function")
+        raise PreconditionError("monitor needs a nonzero function")
     coeffs = fwht_forward(f).coefficients
     out = []
     for n in range(f.resolution.bits + 1):

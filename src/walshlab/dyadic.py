@@ -19,15 +19,9 @@ __all__ = [
     "MAX_RESOLUTION_BITS",
     "QUARTER_CELL",
     "Resolution",
-    "DyadicPoint",
     "DyadicCell",
     "DyadicFunction",
-    "group_add",
-    "basis_point",
-    "cell_of",
-    "cell_indicator",
     "cell_indices",
-    "integrate",
 ]
 
 # 2^24 cells (128 MiB of float64 per function) is the largest grid allowed.
@@ -61,26 +55,6 @@ class Resolution:
 
 
 @dataclass(frozen=True, slots=True)
-class DyadicPoint:
-    """A group element pinned to a resolution."""
-
-    index: int
-    resolution: Resolution
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.resolution.size:
-            raise ValueError(
-                f"index {self.index} out of range for {self.resolution.bits}-bit grid"
-            )
-
-    def coordinate(self, k: int) -> int:
-        """Coordinate x_k, i.e. bit k of the index."""
-        if not 0 <= k < self.resolution.bits:
-            raise ValueError(f"coordinate {k} out of range")
-        return self.index >> k & 1
-
-
-@dataclass(frozen=True, slots=True)
 class DyadicCell:
     """Dyadic interval: all points sharing the first ``rank`` coordinates.
 
@@ -100,11 +74,6 @@ class DyadicCell:
     @property
     def measure(self) -> float:
         return 2.0**-self.rank
-
-    def contains(self, x: DyadicPoint) -> bool:
-        if self.rank > x.resolution.bits:
-            raise ValueError("cell is finer than the point's resolution")
-        return x.index & ((1 << self.rank) - 1) == self.prefix
 
 
 # The probe cell with both leading coordinates equal to 1 (measure 1/4);
@@ -145,54 +114,8 @@ class DyadicFunction:
     def constant(cls, value: float, resolution: Resolution) -> "DyadicFunction":
         return cls(resolution, np.full(resolution.size, float(value)))
 
-    def value_at(self, x: DyadicPoint) -> float:
-        if x.resolution != self.resolution:
-            raise ValueError("point and function live on different grids")
-        return float(self.values[x.index])
-
-    def _same_grid(self, other: "DyadicFunction") -> None:
-        if self.resolution != other.resolution:
-            raise ValueError("functions live on different grids")
-
-    def __add__(self, other: "DyadicFunction") -> "DyadicFunction":
-        self._same_grid(other)
-        return DyadicFunction(self.resolution, self.values + other.values)
-
-    def __sub__(self, other: "DyadicFunction") -> "DyadicFunction":
-        self._same_grid(other)
-        return DyadicFunction(self.resolution, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "DyadicFunction":
-        return DyadicFunction(self.resolution, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "DyadicFunction":
-        return DyadicFunction(self.resolution, -self.values)
-
     def __repr__(self) -> str:
         return f"DyadicFunction(bits={self.resolution.bits})"
-
-
-def group_add(x: DyadicPoint, y: DyadicPoint) -> DyadicPoint:
-    """Coordinatewise sum mod 2, i.e. XOR of the encoded indices."""
-    if x.resolution != y.resolution:
-        raise ValueError("points live on different grids")
-    return DyadicPoint(x.index ^ y.index, x.resolution)
-
-
-def basis_point(n: int, resolution: Resolution) -> DyadicPoint:
-    """The point e_n with a single 1 in coordinate n."""
-    if not 0 <= n < resolution.bits:
-        raise ValueError(f"basis coordinate {n} out of range")
-    return DyadicPoint(1 << n, resolution)
-
-
-def cell_of(x: DyadicPoint, rank: int) -> DyadicCell:
-    """The rank-``rank`` dyadic interval containing ``x``."""
-    if not 0 <= rank <= x.resolution.bits:
-        raise ValueError(f"rank {rank} out of range")
-    return DyadicCell(rank, x.index & ((1 << rank) - 1))
 
 
 def cell_indices(cell: DyadicCell, resolution: Resolution) -> np.ndarray:
@@ -201,15 +124,3 @@ def cell_indices(cell: DyadicCell, resolution: Resolution) -> np.ndarray:
         raise ValueError("cell is finer than the resolution")
     step = 1 << cell.rank
     return cell.prefix + step * np.arange(resolution.size // step)
-
-
-def cell_indicator(cell: DyadicCell, resolution: Resolution) -> DyadicFunction:
-    """Indicator function of a dyadic interval on the given grid."""
-    vals = np.zeros(resolution.size)
-    vals[cell_indices(cell, resolution)] = 1.0
-    return DyadicFunction(resolution, vals)
-
-
-def integrate(f: DyadicFunction) -> float:
-    """Integral against normalized Haar measure: the mean of the values."""
-    return float(f.values.mean())

@@ -1,5 +1,4 @@
-"""Exhaustive desk-scale verification of the kernel lower bound and the
-identities it rests on.
+"""Exhaustive desk-scale verification of the kernel lower bound.
 
 The central fact: for a non-increasing convex weight family, the
 windowed kernel sum_{j=2^(2a)}^{2^(2a+1)} q_(2^(2a+1)-j) D_j has
@@ -16,15 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import QUARTER_CELL, Resolution, cell_indices
-from .errors import PreconditionError
-from .transform import _sign_table, dirichlet_kernel, walsh_function
+from .errors import DegreeError, PreconditionError
 from .weights import WeightFamily, kappa, kernel_sum, validate_structure
 
 __all__ = [
     "KernelBoundReport",
     "kernel_lower_bound_check",
-    "IdentityReport",
-    "identity_suite",
 ]
 
 _BOUND_TOL = 1e-12
@@ -55,13 +51,13 @@ def kernel_lower_bound_check(
     pass vacuously (the bound claims nothing).
     """
     if block_exp < 1:
-        raise ValueError(f"block exponent must be >= 1, got {block_exp}")
+        raise PreconditionError(f"block exponent must be >= 1, got {block_exp}")
     if resolution is None:
         resolution = Resolution(2 * block_exp + 1)
     lo = 1 << (2 * block_exp)
     hi = 1 << (2 * block_exp + 1)
     if hi > resolution.size:
-        raise ValueError(
+        raise DegreeError(
             f"block exponent {block_exp} needs at least {2 * block_exp + 1} bits"
         )
     structure = validate_structure(w, hi - lo + 2)
@@ -76,77 +72,3 @@ def kernel_lower_bound_check(
     return KernelBoundReport(
         w.label, block_exp, resolution.bits, min_abs, kap, min_abs >= kap - _BOUND_TOL
     )
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Exhaustive checks of the grid-level kernel and character facts."""
-
-    bits: int
-    power_block_identity: bool  # D_(2^n) = 2^n on the rank-n cell at 0, else 0
-    closed_form_matches_naive: bool  # bit-pattern D_n == cumulative Walsh sums
-    characters_multiply: bool  # w_n(x+y) = w_n(x) w_n(y) for all n, x, y
-    second_gap_convexity: bool  # q_(n-2) + q_(n+2) >= 2 q_n for the families
-    quarter_cell_parity: bool  # on the quarter cell D_j = 0 (even j), -w_j (odd j)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.power_block_identity
-            and self.closed_form_matches_naive
-            and self.characters_multiply
-            and self.second_gap_convexity
-            and self.quarter_cell_parity
-        )
-
-
-def identity_suite(
-    resolution: Resolution, families: tuple[WeightFamily, ...] | None = None
-) -> IdentityReport:
-    """Verify the kernel identities exhaustively at resolutions up to 8 bits.
-
-    All comparisons are exact integer comparisons except the weight
-    convexity screen, which carries the standard 1e-12 slack.  Note the
-    parity fact on the quarter cell: for odd j the kernel D_j equals
-    w_1 * w_j there, and w_1 = -1 on that cell, so D_j = -w_j (the sign
-    is global on the cell and disappears under absolute values).
-    """
-    bits = resolution.bits
-    if bits > 8:
-        raise ValueError(f"identity suite is exhaustive; capped at 8 bits, got {bits}")
-    if families is None:
-        families = (WeightFamily.logarithmic(), WeightFamily.cesaro(0.5))
-    size = resolution.size
-    idx = np.arange(size, dtype=np.int64)
-
-    power_ok = True
-    for n in range(bits + 1):
-        expected = np.where(idx & ((1 << n) - 1) == 0, 1 << n, 0)
-        power_ok &= bool(np.array_equal(dirichlet_kernel(1 << n, resolution).values, expected))
-
-    quarter = cell_indices(QUARTER_CELL, resolution)
-    closed_ok = True
-    parity_ok = True
-    naive = np.zeros(size, dtype=np.int64)  # D_0 = 0, grown one character at a time
-    for n in range(1, size + 1):
-        naive += _sign_table(n - 1, size)
-        closed_ok &= bool(
-            np.array_equal(dirichlet_kernel(n, resolution).values, naive)
-        )
-        if n < size:  # parity fact for D_j with j = n
-            on_cell = dirichlet_kernel(n, resolution).values[quarter]
-            if n % 2 == 0:
-                parity_ok &= bool(np.all(on_cell == 0))
-            else:
-                w_j = walsh_function(n, resolution).values[quarter]
-                parity_ok &= bool(np.array_equal(on_cell, -w_j))
-
-    xor_table = idx[:, None] ^ idx[None, :]
-    characters_ok = True
-    for n in range(size):
-        signs = _sign_table(n, size)
-        characters_ok &= bool(np.array_equal(signs[xor_table], np.outer(signs, signs)))
-
-    second_gap_ok = all(validate_structure(w, size).second_gap for w in families)
-
-    return IdentityReport(bits, power_ok, closed_ok, characters_ok, second_gap_ok, parity_ok)

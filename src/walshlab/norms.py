@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFunction
+from .errors import PreconditionError
 
 __all__ = [
     "NormValue",
@@ -40,7 +41,7 @@ class NormValue:
 def _check_p(p: float) -> float:
     p = float(p)
     if not p > 0.0:
-        raise ValueError(f"exponent p must be positive, got {p}")
+        raise PreconditionError(f"exponent p must be positive, got {p}")
     return p
 
 

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFunction, DyadicPoint, Resolution
+from .dyadic import DyadicFunction, Resolution
 from .errors import DegreeError
 
 __all__ = [
     "WalshSpectrum",
-    "walsh_eval",
     "walsh_function",
-    "rademacher",
     "fwht_forward",
     "fwht_inverse",
     "partial_sum",
@@ -56,13 +54,6 @@ class WalshSpectrum:
         object.__setattr__(self, "coefficients", arr)
 
 
-def walsh_eval(n: int, x: DyadicPoint) -> int:
-    """w_n(x) as +1 or -1."""
-    if not 0 <= n < x.resolution.size:
-        raise DegreeError(f"Walsh index {n} out of range")
-    return 1 - 2 * ((n & x.index).bit_count() & 1)
-
-
 def _sign_table(n: int, size: int) -> np.ndarray:
     """Vector of w_n over all indices 0..size-1, as int64 +/-1."""
     masked = np.bitwise_and(np.arange(size, dtype=np.int64), n)
@@ -74,13 +65,6 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
     if not 0 <= n < resolution.size:
         raise DegreeError(f"Walsh index {n} out of range")
     return DyadicFunction(resolution, _sign_table(n, resolution.size))
-
-
-def rademacher(n: int, resolution: Resolution) -> DyadicFunction:
-    """The coordinate sign function r_n = w_(2^n)."""
-    if not 0 <= n < resolution.bits:
-        raise ValueError(f"Rademacher index {n} out of range")
-    return walsh_function(1 << n, resolution)
 
 
 def _butterfly(values: np.ndarray) -> np.ndarray:

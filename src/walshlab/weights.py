@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_VLOG_Q0",
     "WeightFamily",
     "parse_family",
-    "cesaro_A",
     "StructureReport",
     "validate_structure",
     "KappaReport",
@@ -67,18 +66,6 @@ DEFAULT_VLOG_Q0 = 2.0 / math.log(2.0) - 1.0 / math.log(3.0)
 MAX_WEIGHT_HORIZON = (1 << MAX_RESOLUTION_BITS) + 1
 
 _STRUCTURE_TOL = 1e-12
-
-
-def cesaro_A(n: int, alpha: float) -> float:
-    """The Cesàro number A_n^alpha = (alpha+1)(alpha+2)...(alpha+n)/n!.
-
-    A_0^alpha = 1 (empty product).  Requires alpha not a negative integer.
-    """
-    if n < 0:
-        raise ValueError(f"Cesàro number index must be >= 0, got {n}")
-    if alpha < 0 and float(alpha).is_integer():
-        raise ValueError(f"Cesàro numbers undefined for alpha = {alpha}")
-    return float(_cesaro_prefix(alpha, n + 1)[-1])
 
 
 def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
@@ -260,7 +247,8 @@ def parse_family(label: str) -> WeightFamily:
         if name == "custom":
             if not arg:
                 raise ValueError("custom needs a file path: custom:PATH")
-            text = open(arg, "r", encoding="utf-8").read()
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
             vals = [float(tok) for tok in text.replace(",", " ").split()]
             return WeightFamily.custom(vals)
     except (OSError, ValueError) as exc:

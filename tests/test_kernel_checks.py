@@ -1,16 +1,22 @@
-"""Kernel lower bound reports and the exhaustive identity suite."""
+"""Kernel lower bound reports and the quarter-cell facts behind them."""
 
 import numpy as np
 import pytest
 
 from walshlab import (
+    QUARTER_CELL,
+    DyadicFunction,
     Resolution,
     WeightFamily,
-    identity_suite,
+    bounded_case_monitor,
+    cell_indices,
+    dirichlet_kernel,
     kappa,
     kernel_lower_bound_check,
+    lp_quasinorm,
+    walsh_function,
 )
-from walshlab.errors import PreconditionError
+from walshlab.errors import DegreeError, PreconditionError, WalshLabError
 
 
 def test_log_block_one_minimum_is_exactly_quarter():
@@ -93,23 +99,37 @@ def test_telescoped_gap_sum_within_half_total(w):
         assert total <= bound + 1e-12, (w.label, a)
 
 
-def test_identity_suite_all_pass_at_six_bits():
-    rep = identity_suite(Resolution(6))
-    assert rep.power_block_identity
-    assert rep.closed_form_matches_naive
-    assert rep.characters_multiply
-    assert rep.second_gap_convexity
-    assert rep.quarter_cell_parity
-    assert rep.ok
+def test_dirichlet_kernel_parity_on_quarter_cell():
+    # for odd j, D_j = w_1 * w_j there and w_1 = -1 on the cell
+    r = Resolution(6)
+    quarter = cell_indices(QUARTER_CELL, r)
+    for j in range(1, r.size):
+        on_cell = dirichlet_kernel(j, r).values[quarter]
+        if j % 2 == 0:
+            assert np.all(on_cell == 0), j
+        else:
+            assert np.array_equal(on_cell, -walsh_function(j, r).values[quarter]), j
 
 
-def test_identity_suite_caps_at_eight_bits():
-    with pytest.raises(ValueError):
-        identity_suite(Resolution(9))
-
-
-def test_identity_suite_flags_bad_family():
-    concave = WeightFamily.custom([1.0] * 30 + [0.9] + [0.0] * 33)
-    rep = identity_suite(Resolution(5), families=(concave,))
-    assert not rep.second_gap_convexity
-    assert not rep.ok
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), 0), PreconditionError),
+        (
+            lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), 3, Resolution(3)),
+            DegreeError,
+        ),
+        (
+            lambda: bounded_case_monitor(
+                DyadicFunction.constant(0.0, Resolution(4)), WeightFamily.logarithmic(), 0.75
+            ),
+            PreconditionError,
+        ),
+        (lambda: lp_quasinorm(DyadicFunction.constant(1.0, Resolution(2)), -1.0), PreconditionError),
+    ],
+    ids=["block-exponent", "too-few-bits", "zero-function", "nonpositive-p"],
+)
+def test_library_failures_are_walshlab_errors(call, error):
+    assert issubclass(error, WalshLabError)
+    with pytest.raises(error):
+        call()

@@ -172,7 +172,8 @@ def test_hardy_norm_of_single_block_is_its_weight():
         rows = divergence_experiment(cfg).rows
         for k, a in enumerate(cfg.alphas):
             lam = cfg.block_weight(k)
-            block = lam * atom_block(k, cfg, Resolution(2 * a + 1))
+            atom = atom_block(k, cfg, Resolution(2 * a + 1))
+            block = DyadicFunction(atom.resolution, lam * atom.values)
             measured = hardy_norm_estimate(block, cfg.p).value
             assert measured == pytest.approx(lam, rel=1e-12)
             assert rows[k].hardy_estimate == pytest.approx(measured, rel=1e-12)

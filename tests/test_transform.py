@@ -13,16 +13,12 @@ from hypothesis import strategies as st
 
 from walshlab import (
     DyadicFunction,
-    DyadicPoint,
     Resolution,
     WalshSpectrum,
     dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
-    group_add,
     partial_sum,
-    rademacher,
-    walsh_eval,
     walsh_function,
 )
 from walshlab.errors import DegreeError
@@ -41,13 +37,6 @@ def walsh_matrix(bits: int) -> np.ndarray:
     )
 
 
-def test_walsh_eval_matches_sign_oracle():
-    r = Resolution(5)
-    for n in (0, 1, 5, 17, 31):
-        for x in (0, 3, 12, 30):
-            assert walsh_eval(n, DyadicPoint(x, r)) == sign_oracle(n, x)
-
-
 def test_walsh_function_rows_match_matrix():
     r = Resolution(4)
     W = walsh_matrix(4)
@@ -55,22 +44,14 @@ def test_walsh_function_rows_match_matrix():
         assert np.array_equal(walsh_function(n, r).values, W[n])
 
 
-def test_rademacher_is_power_of_two_character():
-    r = Resolution(5)
-    for k in range(5):
-        assert np.array_equal(
-            rademacher(k, r).values, walsh_function(1 << k, r).values
-        )
-
-
 def test_characters_multiply_under_group_add():
+    # the group operation is XOR of indices: w_n(a + b) = w_n(a) w_n(b)
     r = Resolution(5)
-    for n in (1, 7, 19, 31):
-        for a in (2, 11, 23):
-            for b in (5, 16, 29):
-                x, y = DyadicPoint(a, r), DyadicPoint(b, r)
-                lhs = walsh_eval(n, group_add(x, y))
-                assert lhs == walsh_eval(n, x) * walsh_eval(n, y)
+    idx = np.arange(r.size)
+    xor_table = idx[:, None] ^ idx[None, :]
+    for n in range(r.size):
+        w = walsh_function(n, r).values
+        assert np.array_equal(w[xor_table], np.outer(w, w)), n
 
 
 def test_forward_matches_direct_analysis():

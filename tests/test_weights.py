@@ -16,7 +16,6 @@ from walshlab import (
     DyadicFunction,
     Resolution,
     WeightFamily,
-    cesaro_A,
     cesaro_kappa_threshold,
     dirichlet_kernel,
     fwht_forward,
@@ -57,20 +56,15 @@ def test_logarithmic_weights():
     assert w.Q(3) == pytest.approx(1.0 + 0.5 + 1 / 3, abs=1e-15)
 
 
-def test_cesaro_A_known_values():
-    # A_n^1 = n + 1, A_n^0 = 1, A_2^(1/2) = (3/2)(5/4)
-    for n in range(6):
-        assert cesaro_A(n, 1.0) == pytest.approx(n + 1.0, abs=1e-12)
-        assert cesaro_A(n, 0.0) == pytest.approx(1.0, abs=0)
-    assert cesaro_A(2, 0.5) == pytest.approx(1.875, abs=1e-15)
-    assert cesaro_A(0, 0.5) == 1.0
-
-
 def test_cesaro_weights_are_shifted_A():
-    w = WeightFamily.cesaro(0.5)
-    # q_j = A_j^(alpha - 1)
-    expect = [cesaro_A(j, -0.5) for j in range(5)]
-    assert np.allclose(w.q_array(5), expect, atol=1e-15)
+    # q_j = A_j^(alpha - 1) = Gamma(j + alpha) / (Gamma(j + 1) Gamma(alpha))
+    for alpha in (0.25, 0.5):
+        expect = [
+            math.exp(math.lgamma(j + alpha) - math.lgamma(j + 1) - math.lgamma(alpha))
+            for j in range(40)
+        ]
+        got = WeightFamily.cesaro(alpha).q_array(40)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
 
 
 def test_ualpha_weights_are_powers():
@@ -140,6 +134,11 @@ def test_structure_screen_flags_increasing():
 def test_structure_screen_flags_concave():
     rep = validate_structure(WeightFamily.custom([1.0, 0.9, 0.0, 0.0, 0.0]), 4)
     assert not rep.convex
+    assert not rep.ok
+    # flat, then a late drop: q_28 + q_32 < 2 q_30
+    late_step = WeightFamily.custom([1.0] * 30 + [0.9] + [0.0] * 33)
+    rep = validate_structure(late_step, 32)
+    assert not rep.second_gap
     assert not rep.ok
 
 
