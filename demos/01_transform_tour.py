@@ -13,10 +13,10 @@ import numpy as np
 from walshlab import (
     DyadicFunction,
     Resolution,
+    WalshSpectrum,
     fwht_forward,
     fwht_inverse,
     lp_quasinorm,
-    partial_sum,
     walsh_function,
 )
 
@@ -43,7 +43,10 @@ def main() -> None:
 
     print("\npartial sums S_(2^k) f are averages over cells of rank k:")
     for k in range(r.bits + 1):
-        s = partial_sum(spectrum, 1 << k)
+        # S_(2^k) f = sum_{j<2^k} fhat(j) w_j: synthesize the truncated spectrum
+        cut = spectrum.coefficients.copy()
+        cut[1 << k :] = 0.0
+        s = fwht_inverse(WalshSpectrum(r, cut))
         block = r.size >> k
         # a rank-k cell holds the indices sharing their low k bits
         averaged = np.tile(f.values.reshape(block, 1 << k).mean(axis=0), block)

@@ -5,8 +5,11 @@ Builds the martingale with blocks at exponents a_k = 1..5, heights
 mean of order 2^(2 a_k + 1) on each prefix, and prints the measured
 table: the weak quasi-norm of the mean, the pointwise floor on the
 quarter cell, the provable bound, the Hardy cost of the newest block,
-and their ratio.  The ratio grows like sqrt(a_k) — no constant C with
-||t f||_(weak p) <= C ||f||_(H p) survives the schedule.
+and their ratio.  The ratio divides the weak size of the mean of the
+whole prefix martingale f_k by a_k^(-1/2), the Hardy cost of the newest
+block alone.  It therefore grows like sqrt(a_k) even where the weak
+column stays bounded, so its growth by itself does not show that the
+means diverge.
 
 Run:  python demos/04_divergence.py
 """

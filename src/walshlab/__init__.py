@@ -12,11 +12,9 @@ kappa = q_1 - (3/2) q_3 is positive and p is small.
 
 from .dyadic import (
     MAX_RESOLUTION_BITS,
-    QUARTER_CELL,
-    DyadicCell,
     DyadicFunction,
     Resolution,
-    cell_indices,
+    quarter_cell_min,
 )
 from .errors import (
     ConfigError,
@@ -31,7 +29,6 @@ from .transform import (
     dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
-    partial_sum,
     walsh_function,
 )
 from .weights import (
@@ -43,7 +40,6 @@ from .weights import (
     kappa,
     kernel_sum,
     norlund_mean_multiplier,
-    norlund_mean_naive,
     norlund_multipliers,
     parse_family,
     ualpha_kappa_threshold,
@@ -73,6 +69,7 @@ from .counterexample import (
 )
 from .kernel_checks import (
     KernelBoundReport,
+    block_kernel,
     kernel_lower_bound_check,
 )
 
@@ -80,10 +77,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_RESOLUTION_BITS",
-    "QUARTER_CELL",
     "DEFAULT_VLOG_Q0",
     "Resolution",
-    "DyadicCell",
     "DyadicFunction",
     "WalshSpectrum",
     "WeightFamily",
@@ -102,11 +97,10 @@ __all__ = [
     "PreconditionError",
     "ResourceCapError",
     "ConfigError",
-    "cell_indices",
+    "quarter_cell_min",
     "walsh_function",
     "fwht_forward",
     "fwht_inverse",
-    "partial_sum",
     "dirichlet_kernel",
     "parse_family",
     "validate_structure",
@@ -114,9 +108,9 @@ __all__ = [
     "cesaro_kappa_threshold",
     "ualpha_kappa_threshold",
     "norlund_multipliers",
-    "norlund_mean_naive",
     "norlund_mean_multiplier",
     "kernel_sum",
+    "block_kernel",
     "lp_quasinorm",
     "weak_lp",
     "maximal_function",

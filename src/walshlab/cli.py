@@ -37,7 +37,7 @@ from .counterexample import (
 )
 from .dyadic import DyadicFunction, Resolution
 from .errors import ConfigError, PreconditionError, ResourceCapError, WalshLabError
-from .kernel_checks import kernel_lower_bound_check
+from .kernel_checks import block_kernel, kernel_lower_bound_check
 from .transform import (
     WalshSpectrum,
     dirichlet_kernel,
@@ -48,7 +48,6 @@ from .transform import (
 from .weights import (
     cesaro_kappa_threshold,
     kappa,
-    kernel_sum,
     norlund_mean_multiplier,
     parse_family,
     ualpha_kappa_threshold,
@@ -313,14 +312,7 @@ def _cmd_kernels(args: argparse.Namespace) -> _Table:
     meta: dict[str, Any] = {"n": resolution.bits}
     if args.block is not None:
         w = parse_family(args.family)
-        if args.block < 0:
-            raise ConfigError(f"block exponent must be >= 0, got {args.block}")
-        lo, hi = 1 << (2 * args.block), 1 << (2 * args.block + 1)
-        if hi > resolution.size:
-            raise ConfigError(
-                f"block exponent {args.block} needs at least {2 * args.block + 1} bits"
-            )
-        values = kernel_sum(w, lo, hi, resolution).values
+        values = block_kernel(w, args.block, resolution).values
         meta |= {"family": w.label, "block": args.block, "kappa": kappa(w).kappa}
     else:
         if args.order is None:
@@ -354,25 +346,27 @@ def _cmd_kappa(args: argparse.Namespace) -> _Table:
     labels = args.families or list(_DEFAULT_KAPPA_FAMILIES)
     rows = []
     for label in labels:
-        rep = kappa(parse_family(label))
+        w = parse_family(label)
+        rep = kappa(w)
         threshold: float | None = None
-        if label.startswith("cesaro"):
+        if w.kind == "cesaro":
             threshold = cesaro_kappa_threshold()
-        elif label.startswith("ualpha"):
+        elif w.kind == "ualpha":
             threshold = ualpha_kappa_threshold()
         rows.append((rep.family, rep.kappa, rep.positive, threshold))
     return ("family", "kappa", "positive", "threshold"), rows, {}, 0
 
 
 def _cmd_lemma2(args: argparse.Namespace) -> _Table:
+    if args.n is not None:
+        raise ConfigError("lemma2 takes no --n: block a is checked at its exact 2a+1 bits")
     w = parse_family(args.family)
     exponents = _parse_alphas(args.alphas)
     if any(a < 1 for a in exponents):
         raise ConfigError(f"block exponents must be >= 1, got {exponents}")
-    resolution = Resolution(args.n) if args.n is not None else None
     rows = []
     for a in exponents:
-        rep = kernel_lower_bound_check(w, a, resolution)
+        rep = kernel_lower_bound_check(w, a)
         rows.append(
             (rep.family, rep.block_exp, rep.bits, rep.min_abs_kernel, rep.kappa,
              rep.passed, rep.kappa <= 0.0)

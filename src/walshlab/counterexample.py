@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import (
-    QUARTER_CELL,
-    DyadicFunction,
-    Resolution,
-    cell_indices,
-)
+from .dyadic import DyadicFunction, Resolution, quarter_cell_min
 from .errors import PreconditionError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
 from .transform import WalshSpectrum, dirichlet_kernel, fwht_forward
@@ -97,6 +92,11 @@ class CounterexampleConfig:
             raise PreconditionError(f"beta_exp must be >= 0, got {self.beta_exp}")
         if self.c_const <= 0.0:
             raise PreconditionError(f"c_const must be positive, got {self.c_const}")
+        # NaN and +inf pass the comparisons above; alpha_exp's range check
+        # already refuses both
+        for name in ("beta_exp", "c_const"):
+            if not math.isfinite(getattr(self, name)):
+                raise PreconditionError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p < 1.0 / (1.0 + self.alpha_exp):
             raise PreconditionError(
                 f"need p < 1/(1 + alpha_exp) = {1.0 / (1.0 + self.alpha_exp):.6g}, "
@@ -334,8 +334,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         resolution = Resolution(bits)
         prefix = WalshSpectrum(resolution, coeffs[: resolution.size])
         mean = norlund_mean_multiplier(prefix, resolution.size, w)
-        on_cell = np.abs(mean.values[cell_indices(QUARTER_CELL, resolution)])
-        floor_measured = float(on_cell.min())
+        floor_measured = quarter_cell_min(mean)
         weak_value = weak_lp(mean, cfg.p).value
         theory = (
             c_theory

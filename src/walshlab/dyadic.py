@@ -13,15 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import DegreeError, ResourceCapError
 
 __all__ = [
     "MAX_RESOLUTION_BITS",
-    "QUARTER_CELL",
     "Resolution",
-    "DyadicCell",
     "DyadicFunction",
-    "cell_indices",
+    "quarter_cell_min",
 ]
 
 # 2^24 cells (128 MiB of float64 per function) is the largest grid allowed.
@@ -52,33 +50,6 @@ class Resolution:
     @property
     def cell_measure(self) -> float:
         return 2.0**-self.bits
-
-
-@dataclass(frozen=True, slots=True)
-class DyadicCell:
-    """Dyadic interval: all points sharing the first ``rank`` coordinates.
-
-    ``prefix`` packs those shared coordinates into the low ``rank`` bits.
-    A cell of rank n has Haar measure 2^-n at every resolution >= n.
-    """
-
-    rank: int
-    prefix: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"cell rank must be >= 0, got {self.rank}")
-        if not 0 <= self.prefix < (1 << self.rank):
-            raise ValueError(f"prefix {self.prefix} needs more than {self.rank} bits")
-
-    @property
-    def measure(self) -> float:
-        return 2.0**-self.rank
-
-
-# The probe cell with both leading coordinates equal to 1 (measure 1/4);
-# kernel lower bounds and the divergence construction are evaluated on it.
-QUARTER_CELL = DyadicCell(rank=2, prefix=3)
 
 
 class DyadicFunction:
@@ -118,9 +89,15 @@ class DyadicFunction:
         return f"DyadicFunction(bits={self.resolution.bits})"
 
 
-def cell_indices(cell: DyadicCell, resolution: Resolution) -> np.ndarray:
-    """Indices of all grid cells lying inside the dyadic interval."""
-    if cell.rank > resolution.bits:
-        raise ValueError("cell is finer than the resolution")
-    step = 1 << cell.rank
-    return cell.prefix + step * np.arange(resolution.size // step)
+def quarter_cell_min(f: DyadicFunction) -> float:
+    """Minimum of |f| on the quarter cell, where both leading coordinates
+    are 1: the indices congruent to 3 mod 4 (Haar measure 1/4).
+
+    Kernel lower bounds and the divergence construction are both judged
+    by this minimum.
+    """
+    if f.resolution.bits < 2:
+        raise DegreeError(
+            f"the quarter cell needs at least 2 bits, got {f.resolution.bits}"
+        )
+    return float(np.abs(f.values[3::4]).min())

@@ -13,6 +13,7 @@ evaluates the supremum with no grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ def _check_p(p: float) -> float:
     p = float(p)
     if not p > 0.0:
         raise PreconditionError(f"exponent p must be positive, got {p}")
+    if not math.isfinite(p):
+        raise PreconditionError(f"exponent p must be finite, got {p}")
     return p
 
 

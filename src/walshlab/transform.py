@@ -30,7 +30,6 @@ __all__ = [
     "walsh_function",
     "fwht_forward",
     "fwht_inverse",
-    "partial_sum",
     "dirichlet_kernel",
 ]
 
@@ -95,16 +94,6 @@ def fwht_forward(f: DyadicFunction) -> WalshSpectrum:
 def fwht_inverse(spectrum: WalshSpectrum) -> DyadicFunction:
     """Synthesize sum_k f^(k) w_k back into a step function."""
     return DyadicFunction(spectrum.resolution, _butterfly(spectrum.coefficients))
-
-
-def partial_sum(spectrum: WalshSpectrum, n: int) -> DyadicFunction:
-    """The n-th Walsh partial sum S_n f = sum_{k<n} f^(k) w_k."""
-    size = spectrum.resolution.size
-    if not 0 <= n <= size:
-        raise DegreeError(f"partial sum order {n} out of range for 2^{spectrum.resolution.bits}")
-    cut = spectrum.coefficients.copy()
-    cut[n:] = 0.0
-    return fwht_inverse(WalshSpectrum(spectrum.resolution, cut))
 
 
 def _power_block(k: int, idx: np.ndarray) -> np.ndarray:

@@ -7,10 +7,8 @@ Walsh partial sums S_1 f .. S_n f with weights read backwards:
     t_n f = (1/Q_n) * sum_{k=1}^{n} q_(n-k) S_k f.
 
 Exchanging the two sums turns this into a spectral multiplier,
-t_n f = sum_{j<n} (Q_(n-j)/Q_n) f^(j) w_j, which is the production
-evaluation path; the literal weighted accumulation is kept as
-``norlund_mean_naive`` so the two routes can be checked against each
-other.
+t_n f = sum_{j<n} (Q_(n-j)/Q_n) f^(j) w_j, which is how
+``norlund_mean_multiplier`` evaluates it.
 
 Built-in families:
 
@@ -39,7 +37,7 @@ import numpy as np
 
 from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import DegenerateWeightsError, DegreeError, ResourceCapError
-from .transform import WalshSpectrum, _sign_table, fwht_forward, fwht_inverse
+from .transform import WalshSpectrum, fwht_inverse
 
 __all__ = [
     "DEFAULT_VLOG_Q0",
@@ -52,7 +50,6 @@ __all__ = [
     "cesaro_kappa_threshold",
     "ualpha_kappa_threshold",
     "norlund_multipliers",
-    "norlund_mean_naive",
     "norlund_mean_multiplier",
     "kernel_sum",
 ]
@@ -82,24 +79,25 @@ class WeightFamily:
 
     __slots__ = ("kind", "params", "_q", "_qsum")
 
-    def __init__(self, kind: str, params: tuple, q_values: np.ndarray) -> None:
-        # Use the fejer()/logarithmic()/... constructors instead.
+    def __init__(self, kind: str, params: tuple, q_values: np.ndarray | None = None) -> None:
+        # Use the fejer()/logarithmic()/... constructors instead.  Built-in
+        # kinds start with the 4-term head their formula generates.
         self.kind = kind
         self.params = params
-        self._q = q_values
-        self._qsum = np.concatenate(([0.0], np.cumsum(q_values)))
+        self._q = self._generate(4) if q_values is None else q_values
+        self._qsum = np.concatenate(([0.0], np.cumsum(self._q)))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def fejer(cls) -> "WeightFamily":
         """Constant weights; t_n is the Fejér (arithmetic) mean."""
-        return cls("fejer", (), np.ones(4))
+        return cls("fejer", ())
 
     @classmethod
     def logarithmic(cls) -> "WeightFamily":
         """q_j = 1/(j+1); Q_n is the n-th harmonic number."""
-        return cls("log", (), 1.0 / np.arange(1.0, 5.0))
+        return cls("log", ())
 
     @classmethod
     def cesaro(cls, alpha: float) -> "WeightFamily":
@@ -107,7 +105,7 @@ class WeightFamily:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"cesaro order must lie in (0, 1), got {alpha}")
-        return cls("cesaro", (alpha,), _cesaro_prefix(alpha - 1.0, 4))
+        return cls("cesaro", (alpha,))
 
     @classmethod
     def ualpha(cls, alpha: float) -> "WeightFamily":
@@ -115,7 +113,7 @@ class WeightFamily:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"ualpha order must lie in (0, 1), got {alpha}")
-        return cls("ualpha", (alpha,), np.arange(1.0, 5.0) ** (alpha - 1.0))
+        return cls("ualpha", (alpha,))
 
     @classmethod
     def vlog(cls, q0: float = DEFAULT_VLOG_Q0) -> "WeightFamily":
@@ -123,8 +121,7 @@ class WeightFamily:
         q0 = float(q0)
         if not math.isfinite(q0) or q0 < 0:
             raise ValueError(f"vlog q0 must be finite and >= 0, got {q0}")
-        head = np.concatenate(([q0], 1.0 / np.log(np.arange(2.0, 5.0))))
-        return cls("vlog", (q0,), head)
+        return cls("vlog", (q0,))
 
     @classmethod
     def custom(cls, values) -> "WeightFamily":
@@ -339,22 +336,6 @@ def norlund_mean_multiplier(
     scaled = np.zeros(size)
     scaled[:n] = spectrum.coefficients[:n] * norlund_multipliers(w, n)
     return fwht_inverse(WalshSpectrum(spectrum.resolution, scaled))
-
-
-def norlund_mean_naive(f: DyadicFunction, n: int, w: WeightFamily) -> DyadicFunction:
-    """Evaluate t_n f by the definition: accumulate q_(n-k) S_k f with the
-    partial sums built incrementally.  Test oracle; O(n 2^N)."""
-    size = f.resolution.size
-    if not 1 <= n <= size:
-        raise DegreeError(f"mean order {n} out of range (1..{size})")
-    Qn = _checked_Q(w, n)
-    coeff = fwht_forward(f).coefficients
-    running = np.full(size, coeff[0])  # S_1 f
-    acc = w.q(n - 1) * running
-    for k in range(2, n + 1):
-        running = running + coeff[k - 1] * _sign_table(k - 1, size)
-        acc = acc + w.q(n - k) * running
-    return DyadicFunction(f.resolution, acc / Qn)
 
 
 def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> DyadicFunction:

@@ -105,7 +105,8 @@ def test_transform_bad_spec_exit_code(capsys):
 
 
 def test_kappa_table(capsys):
-    code, out, _ = run(capsys, "kappa", "log", "vlog", "cesaro:0.25", "ualpha:0.3")
+    # padded labels get the same canonical family and threshold
+    code, out, _ = run(capsys, "kappa", "log", "vlog", " cesaro:0.25", "ualpha:0.3 ")
     assert code == 0
     header, rows = read_csv(out)
     assert header == ["family", "kappa", "positive", "threshold"]
@@ -149,7 +150,7 @@ def test_lemma2_assertion_failure_exit_code(monkeypatch, capsys):
     # exit-code plumbing for a failed hard bound, via a stubbed report
     from walshlab.kernel_checks import KernelBoundReport
 
-    def fake_check(w, a, resolution=None):
+    def fake_check(w, a):
         return KernelBoundReport(w.label, a, 3, 0.01, 0.125, False)
 
     monkeypatch.setattr(cli, "kernel_lower_bound_check", fake_check)
@@ -197,6 +198,18 @@ def test_diverge_hypothesis_violation_is_config_error(capsys):
     )
     assert code == 2
     assert "hypothesis violated" in err
+
+
+@pytest.mark.parametrize("key", ["alpha_exp", "beta_exp", "c_const"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_diverge_nonfinite_value_is_config_error(key, value, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"family = log\np = 0.75\nalphas = 1,2\n{key} = {value}\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg), "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: hypothesis violated: ")
+    assert key in err
 
 
 def test_diverge_missing_key_is_config_error(tmp_path, capsys):
@@ -287,9 +300,11 @@ def test_mean_of_constant_is_constant(capsys):
     "argv, message",
     [
         (("transform", "--n", "0"), "at least 1 bit"),
-        (("lemma2", "--family", "log", "--alphas", "3", "--n", "3"), "needs at least 7 bits"),
+        (("kernels", "--block", "3", "--n", "3"), "needs at least 7 bits"),
+        (("lemma2", "--family", "log", "--alphas", "3", "--n", "7"), "lemma2 takes no --n"),
         (("monitor", "--n", "4", "--f", "const:0"), "nonzero function"),
         (("monitor", "--n", "4", "--p", "-1"), "p must be positive"),
+        (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
         (("kernels", "--n", "4", "--block", "-1"), "block exponent must be >= 0"),
         (("kappa", "--out", "{tmp}/missing/rows.csv"), "No such file"),
         (("transform", "--n", "3", "--format", "json", "--out", "{tmp}/missing/rows.json"),

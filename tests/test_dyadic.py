@@ -1,15 +1,9 @@
-"""Grid primitives: resolutions, cells and step functions."""
+"""Grid primitives: resolutions, step functions and the quarter cell."""
 
 import numpy as np
 import pytest
 
-from walshlab import (
-    QUARTER_CELL,
-    DyadicCell,
-    DyadicFunction,
-    Resolution,
-    cell_indices,
-)
+from walshlab import DyadicFunction, Resolution, quarter_cell_min
 from walshlab.errors import ResourceCapError
 
 
@@ -26,25 +20,15 @@ def test_resolution_rejects_bad_bits():
         Resolution(25)
 
 
-def test_quarter_cell_is_the_rank_two_cell_at_three():
-    assert QUARTER_CELL == DyadicCell(rank=2, prefix=3)
-    assert QUARTER_CELL.measure == 0.25
+def test_quarter_cell_min_reads_indices_three_mod_four():
+    # the quarter cell I_2(e_0 + e_1) holds the indices congruent to 3
+    # mod 4: a small value counts exactly when it sits on one of them
     r = Resolution(4)
-    # members of I_2(e_0 + e_1): indices congruent to 3 mod 4
-    assert list(cell_indices(QUARTER_CELL, r)) == [3, 7, 11, 15]
-
-
-def test_cell_indicator_integrates_to_measure():
-    # the indicator of a rank-k cell is 1 on 2^(N-k) distinct grid cells,
-    # so it integrates to 2^-k; every member shares the prefix in its
-    # low k bits
-    r = Resolution(6)
-    for rank in range(0, 7):
-        cell = DyadicCell(rank=rank, prefix=(1 << rank) - 1)
-        idx = cell_indices(cell, r)
-        assert idx.size * r.cell_measure == cell.measure
-        assert np.all(idx % (1 << rank) == cell.prefix)
-        assert np.unique(idx).size == idx.size
+    for i in range(r.size):
+        values = np.full(r.size, 10.0)
+        values[i] = -0.5
+        got = quarter_cell_min(DyadicFunction(r, values))
+        assert got == (0.5 if i in (3, 7, 11, 15) else 10.0), i
 
 
 def test_function_rejects_wrong_length_and_nonfinite():

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from walshlab import (
-    QUARTER_CELL,
     DyadicFunction,
     Resolution,
     WeightFamily,
+    block_kernel,
     bounded_case_monitor,
-    cell_indices,
     dirichlet_kernel,
     kappa,
     kernel_lower_bound_check,
+    kernel_sum,
     lp_quasinorm,
+    quarter_cell_min,
     walsh_function,
 )
 from walshlab.errors import DegreeError, PreconditionError, WalshLabError
@@ -37,7 +38,7 @@ def test_cesaro_half_blocks_pass_with_kappa_margin():
     w = WeightFamily.cesaro(0.5)
     assert kappa(w).kappa == pytest.approx(0.03125, abs=1e-15)
     for a in (1, 2, 3):
-        rep = kernel_lower_bound_check(w, a, Resolution(8))
+        rep = kernel_lower_bound_check(w, a)
         assert rep.min_abs_kernel >= 0.03125 - 1e-12
         assert rep.passed
 
@@ -54,8 +55,8 @@ def test_minimum_independent_of_resolution():
     w = WeightFamily.logarithmic()
     for a in (1, 2):
         at_min = kernel_lower_bound_check(w, a).min_abs_kernel
-        refined = kernel_lower_bound_check(w, a, Resolution(2 * a + 3)).min_abs_kernel
-        assert at_min == pytest.approx(refined, rel=1e-14)
+        refined = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), Resolution(2 * a + 3))
+        assert at_min == pytest.approx(np.abs(refined.values[3::4]).min(), rel=1e-14)
 
 
 def test_structure_violation_is_rejected():
@@ -68,7 +69,17 @@ def test_bad_block_exponent():
     with pytest.raises(ValueError):
         kernel_lower_bound_check(WeightFamily.logarithmic(), 0)
     with pytest.raises(ValueError):
-        kernel_lower_bound_check(WeightFamily.logarithmic(), 3, Resolution(4))
+        block_kernel(WeightFamily.logarithmic(), 3, Resolution(6))
+    with pytest.raises(ValueError):
+        block_kernel(WeightFamily.logarithmic(), -1, Resolution(6))
+
+
+def test_block_kernel_is_the_windowed_kernel_sum():
+    w = WeightFamily.cesaro(0.5)
+    for a in (0, 1, 2):
+        r = Resolution(2 * a + 2)
+        window = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), r).values
+        assert np.array_equal(block_kernel(w, a, r).values, window)
 
 
 def telescoped_gap_sum(w: WeightFamily, a: int) -> tuple[float, float]:
@@ -102,7 +113,7 @@ def test_telescoped_gap_sum_within_half_total(w):
 def test_dirichlet_kernel_parity_on_quarter_cell():
     # for odd j, D_j = w_1 * w_j there and w_1 = -1 on the cell
     r = Resolution(6)
-    quarter = cell_indices(QUARTER_CELL, r)
+    quarter = np.arange(3, r.size, 4)
     for j in range(1, r.size):
         on_cell = dirichlet_kernel(j, r).values[quarter]
         if j % 2 == 0:
@@ -116,9 +127,10 @@ def test_dirichlet_kernel_parity_on_quarter_cell():
     [
         (lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), 0), PreconditionError),
         (
-            lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), 3, Resolution(3)),
+            lambda: block_kernel(WeightFamily.logarithmic(), 3, Resolution(3)),
             DegreeError,
         ),
+        (lambda: quarter_cell_min(DyadicFunction.constant(1.0, Resolution(1))), DegreeError),
         (
             lambda: bounded_case_monitor(
                 DyadicFunction.constant(0.0, Resolution(4)), WeightFamily.logarithmic(), 0.75
@@ -126,8 +138,19 @@ def test_dirichlet_kernel_parity_on_quarter_cell():
             PreconditionError,
         ),
         (lambda: lp_quasinorm(DyadicFunction.constant(1.0, Resolution(2)), -1.0), PreconditionError),
+        (
+            lambda: lp_quasinorm(DyadicFunction.constant(1.0, Resolution(2)), float("inf")),
+            PreconditionError,
+        ),
     ],
-    ids=["block-exponent", "too-few-bits", "zero-function", "nonpositive-p"],
+    ids=[
+        "block-exponent",
+        "too-few-bits",
+        "quarter-cell-bits",
+        "zero-function",
+        "nonpositive-p",
+        "infinite-p",
+    ],
 )
 def test_library_failures_are_walshlab_errors(call, error):
     assert issubclass(error, WalshLabError)

@@ -18,10 +18,11 @@ from walshlab import (
     dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
-    partial_sum,
     walsh_function,
 )
 from walshlab.errors import DegreeError
+
+from oracles import partial_sum
 
 
 def sign_oracle(n: int, x: int) -> int:

@@ -22,14 +22,14 @@ from walshlab import (
     kappa,
     kernel_sum,
     norlund_mean_multiplier,
-    norlund_mean_naive,
     norlund_multipliers,
     parse_family,
-    partial_sum,
     ualpha_kappa_threshold,
     validate_structure,
 )
 from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
+
+from oracles import norlund_mean_naive, partial_sum
 
 
 ALL_FAMILIES = [
