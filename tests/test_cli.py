@@ -301,14 +301,14 @@ def test_mean_of_constant_is_constant(capsys):
     [
         (("transform", "--n", "0"), "at least 1 bit"),
         (("kernels", "--block", "3", "--n", "3"), "needs at least 7 bits"),
-        (("lemma2", "--family", "log", "--alphas", "3", "--n", "7"), "lemma2 takes no --n"),
         (("monitor", "--n", "4", "--f", "const:0"), "nonzero function"),
         (("monitor", "--n", "4", "--p", "-1"), "p must be positive"),
-        (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
         (("kernels", "--n", "4", "--block", "-1"), "block exponent must be >= 0"),
         (("kappa", "--out", "{tmp}/missing/rows.csv"), "No such file"),
         (("transform", "--n", "3", "--format", "json", "--out", "{tmp}/missing/rows.json"),
          "No such file"),
+        (("lemma2", "--family", "log", "--alphas", "3", "--n", "7"), "lemma2 takes no --n"),
+        (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

@@ -20,7 +20,7 @@ def test_resolution_rejects_bad_bits():
         Resolution(25)
 
 
-def test_quarter_cell_min_reads_indices_three_mod_four():
+def test_quarter_cell_is_the_rank_two_cell_at_three():
     # the quarter cell I_2(e_0 + e_1) holds the indices congruent to 3
     # mod 4: a small value counts exactly when it sits on one of them
     r = Resolution(4)
