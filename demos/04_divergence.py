@@ -19,7 +19,6 @@ import math
 from walshlab import (
     CounterexampleConfig,
     WeightFamily,
-    check_jig,
     divergence_experiment,
     guaranteed_floor,
 )
@@ -30,7 +29,6 @@ def main() -> None:
         p=0.75,
         weights=WeightFamily.logarithmic(),
         alphas=(1, 2, 3, 4, 5),
-        c_const=0.01,
     )
     print(f"family = {cfg.weights.label}, p = {cfg.p}, blocks a_k = {cfg.alphas}")
     report = divergence_experiment(cfg)
@@ -56,15 +54,10 @@ def main() -> None:
         print(f"  k={row.k}: measured {row.pointwise_floor:.8f} >= "
               f"guaranteed {guaranteed_floor(cfg, row.k):.8f}")
 
-    jig = check_jig(cfg, 1 << 11)
-    print(f"\nweight-decay condition over n <= {jig.n_max}: largest constant C with")
-    print(f"(q_1 - 1.5 q_3)/Q_n >= C/(n^0 log^0 n) is {jig.best_c_global:.6g}; the bundled")
-    print(f"C = {cfg.c_const} holds over the tested range: {jig.holds}")
-
     print("\nsteeper growth: Cesaro weights with alpha = 0.25 at p = 0.7")
     cfg2 = CounterexampleConfig(
         p=0.7, weights=WeightFamily.cesaro(0.25), alphas=(1, 2, 3, 4, 5),
-        alpha_exp=0.25, c_const=0.05,
+        alpha_exp=0.25,
     )
     report2 = divergence_experiment(cfg2)
     print("ratios:", [round(r.ratio, 6) for r in report2.rows])

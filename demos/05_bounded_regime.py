@@ -40,7 +40,7 @@ def main() -> None:
 
     print("\nthe same martingale that breaks the log-weight mean is harmless here:")
     cfg = CounterexampleConfig(
-        p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 2, 3), c_const=0.01,
+        p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 2, 3),
     )
     f = build_martingale(cfg)
     for label, w in [("fejer", fejer), ("log", cfg.weights)]:

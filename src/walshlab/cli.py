@@ -45,13 +45,7 @@ from .transform import (
     fwht_inverse,
     walsh_function,
 )
-from .weights import (
-    cesaro_kappa_threshold,
-    kappa,
-    norlund_mean_multiplier,
-    parse_family,
-    ualpha_kappa_threshold,
-)
+from .weights import kappa, norlund_mean_multiplier, parse_family
 
 __all__ = [
     "main",
@@ -346,20 +340,12 @@ def _cmd_kappa(args: argparse.Namespace) -> _Table:
     labels = args.families or list(_DEFAULT_KAPPA_FAMILIES)
     rows = []
     for label in labels:
-        w = parse_family(label)
-        rep = kappa(w)
-        threshold: float | None = None
-        if w.kind == "cesaro":
-            threshold = cesaro_kappa_threshold()
-        elif w.kind == "ualpha":
-            threshold = ualpha_kappa_threshold()
-        rows.append((rep.family, rep.kappa, rep.positive, threshold))
+        rep = kappa(parse_family(label))
+        rows.append((rep.family, rep.kappa, rep.positive, rep.threshold))
     return ("family", "kappa", "positive", "threshold"), rows, {}, 0
 
 
 def _cmd_lemma2(args: argparse.Namespace) -> _Table:
-    if args.n is not None:
-        raise ConfigError("lemma2 takes no --n: block a is checked at its exact 2a+1 bits")
     w = parse_family(args.family)
     exponents = _parse_alphas(args.alphas)
     if any(a < 1 for a in exponents):
@@ -524,9 +510,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommands that set their own resolution and refuse --n
+_TAKES_NO_N = ("kappa", "lemma2", "diverge")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.n is not None and args.command in _TAKES_NO_N:
+            raise ConfigError(f"{args.command} takes no --n")
         columns, rows, meta, status = args.func(args)
         meta = {"command": args.command, "version": __version__} | meta
         _emit(args, columns, rows, meta)

@@ -35,15 +35,11 @@ from .weights import (
 
 __all__ = [
     "CounterexampleConfig",
-    "ConditionsReport",
-    "JigReport",
     "DivergenceRow",
     "DivergenceReport",
     "atom_block",
     "build_martingale",
     "martingale_spectrum",
-    "check_conditions",
-    "check_jig",
     "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
@@ -61,7 +57,19 @@ class CounterexampleConfig:
     alphas     strictly increasing positive block exponents a_0 < a_1 < ...
     alpha_exp  growth exponent of Q_n ~ n^alpha_exp (0 for log-type families)
     beta_exp   logarithmic correction exponent, >= 0
-    c_const    constant C tested in the growth condition kappa/Q_n >= C/(n^a ln^b n)
+    c_const    constant C of the growth condition kappa/Q_n >= C/(n^a ln^b n);
+               validated (positive, finite) but read by no verdict
+
+    Every admitted schedule satisfies the spectral-mass condition: the
+    masses m_e = 2^(2 a_e / p) / sqrt(a_e) of the earlier blocks sum to
+    less than the newest one, m_k.  The exponents are integers with
+    a_0 >= 1 and 0 < p < 1, so for e < k and d = a_k - a_e >= 1
+
+        m_e / m_k = 2^(-2d/p) * sqrt(a_k / a_e) < 4^(-d) * sqrt(1 + d),
+
+    and distinct e give distinct d, so sum_{e<k} m_e / m_k is below
+    sum_{d>=1} 4^(-d) sqrt(1 + d) = 0.505... < 1.  No run-time check is
+    needed.
     """
 
     p: float
@@ -97,6 +105,13 @@ class CounterexampleConfig:
         for name in ("beta_exp", "c_const"):
             if not math.isfinite(getattr(self, name)):
                 raise PreconditionError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            self.alphas[-1] ** (self.beta_exp + 1.0)  # the theory column's divisor
+        except OverflowError:
+            raise PreconditionError(
+                f"beta_exp = {self.beta_exp} is too large: a^(beta_exp + 1) "
+                f"overflows at a = {self.alphas[-1]}"
+            ) from None
         if not self.p < 1.0 / (1.0 + self.alpha_exp):
             raise PreconditionError(
                 f"need p < 1/(1 + alpha_exp) = {1.0 / (1.0 + self.alpha_exp):.6g}, "
@@ -159,73 +174,6 @@ def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> Wa
     return WalshSpectrum(resolution, coeffs)
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
-    """Spectral-mass screening of a block schedule.
-
-    cond4[k-1]      previous spectral masses stay below the next one:
-                    sum_{e<k} 2^(2 a_e / p)/sqrt(a_e) < 2^(2 a_k / p)/sqrt(a_k)
-    """
-
-    K: int
-    cond4: tuple[bool, ...]
-    kappa: float
-
-    @property
-    def cond4_all(self) -> bool:
-        return all(self.cond4)
-
-
-def _log2_mass(a: int, p: float) -> float:
-    # log2 of 2^(2a/p)/sqrt(a)
-    return 2.0 * a / p - 0.5 * math.log2(a)
-
-
-def check_conditions(cfg: CounterexampleConfig) -> ConditionsReport:
-    """Evaluate cond4; log-domain, safe for huge blocks."""
-    alphas = cfg.alphas
-    cond4: list[bool] = []
-    running = None  # log2 of the partial mass sum
-    for k in range(1, cfg.K):
-        prev_log = _log2_mass(alphas[k - 1], cfg.p)
-        running = prev_log if running is None else float(np.logaddexp2(running, prev_log))
-        cond4.append(running < _log2_mass(alphas[k], cfg.p))
-    return ConditionsReport(cfg.K, tuple(cond4), kappa(cfg.weights).kappa)
-
-
-@dataclass(frozen=True)
-class JigReport:
-    """Outcome of the growth condition kappa/Q_n >= C/(n^a ln^b n)."""
-
-    family: str
-    n_max: int
-    c_required: float
-    holds: bool
-    best_c_global: float
-    best_c_subsequence: float | None
-
-
-def check_jig(cfg: CounterexampleConfig, n_max: int) -> JigReport:
-    """Scan 2 <= n <= n_max for the growth condition with C = c_const,
-    and report the largest C that would have worked (globally and along
-    the block subsequence n = 2^(2a_k+1))."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    w = cfg.weights
-    kap = kappa(w).kappa
-    if kap <= 0.0:
-        raise PreconditionError(f"kernel floor of {w.label} is not positive")
-    n = np.arange(2, n_max + 1, dtype=np.float64)
-    Qn = w.Q_array(n_max)[2:]
-    ratio = kap * n**cfg.alpha_exp * np.log(n) ** cfg.beta_exp / Qn
-    best_global = float(ratio.min())
-    sub = [1 << (2 * a + 1) for a in cfg.alphas if (1 << (2 * a + 1)) <= n_max]
-    best_sub = float(min(ratio[i - 2] for i in sub)) if sub else None
-    return JigReport(
-        w.label, n_max, cfg.c_const, best_global >= cfg.c_const, best_global, best_sub
-    )
-
-
 def guaranteed_floor(cfg: CounterexampleConfig, k: int) -> float:
     """The provable lower bound for the mean of row k on the quarter cell:
     (kappa/Q) * 2^(2 a_k (1/p - 1)) * (1/sqrt(a_k) - 1/(8 a_k))."""
@@ -261,7 +209,6 @@ class DivergenceReport:
     rows: tuple[DivergenceRow, ...]
     kappa: float
     theory_constant: float
-    conditions: ConditionsReport
     ratios_strictly_increasing: bool
     floors_hold: bool
     weak_floor_consistent: bool
@@ -315,12 +262,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         raise PreconditionError(
             f"weight family {w.label} fails the structure screen: {structure}"
         )
-    conditions = check_conditions(cfg)
-    if not conditions.cond4_all:
-        raise PreconditionError(
-            f"block schedule {cfg.alphas} violates the spectral-mass condition (cond4)"
-        )
-    kap = conditions.kappa
+    kap = kappa(w).kappa
     c_theory = _theory_constant(cfg, kap)
     measure_factor = 0.25 ** (1.0 / cfg.p)
     coeffs = martingale_spectrum(cfg, Resolution(cfg.required_bits)).coefficients
@@ -356,7 +298,6 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         tuple(rows),
         kap,
         c_theory,
-        conditions,
         increasing,
         floors_hold,
         weak_consistent,

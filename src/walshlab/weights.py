@@ -231,6 +231,8 @@ def parse_family(label: str) -> WeightFamily:
     | vlog[:q0] | custom:path (one weight value per line)."""
     name, _, arg = label.strip().partition(":")
     try:
+        if name in ("fejer", "log") and arg:
+            raise ValueError(f"{name} takes no argument")
         if name == "fejer":
             return WeightFamily.fejer()
         if name == "log":
@@ -286,17 +288,21 @@ def validate_structure(w: WeightFamily, n_max: int) -> StructureReport:
 
 @dataclass(frozen=True)
 class KappaReport:
-    """The kernel floor constant kappa = q_1 - (3/2) q_3 of a family."""
+    """The kernel floor constant kappa = q_1 - (3/2) q_3 of a family, and
+    for cesaro:A and ualpha:A the order A below which it is positive."""
 
     family: str
     kappa: float
     positive: bool
+    threshold: float | None
 
 
 def kappa(w: WeightFamily) -> KappaReport:
-    """Compute kappa = q_1 - (3/2) q_3 and report its sign."""
+    """Compute kappa = q_1 - (3/2) q_3 and report its sign threshold."""
     value = w.q(1) - 1.5 * w.q(3)
-    return KappaReport(w.label, value, value > 0.0)
+    thresholds = {"cesaro": cesaro_kappa_threshold, "ualpha": ualpha_kappa_threshold}
+    threshold = thresholds[w.kind]() if w.kind in thresholds else None
+    return KappaReport(w.label, value, value > 0.0, threshold)
 
 
 def cesaro_kappa_threshold() -> float:

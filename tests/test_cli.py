@@ -212,6 +212,17 @@ def test_diverge_nonfinite_value_is_config_error(key, value, tmp_path, capsys):
     assert key in err
 
 
+def test_diverge_overflowing_beta_exp_is_config_error(tmp_path, capsys):
+    # finite, but a^(beta_exp + 1) overflows a double at a = 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = 1,2\nbeta_exp = 1e308\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: hypothesis violated: ")
+    assert "beta_exp" in err
+
+
 def test_diverge_missing_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family = log\np = 0.75\n")
@@ -309,6 +320,8 @@ def test_mean_of_constant_is_constant(capsys):
          "No such file"),
         (("lemma2", "--family", "log", "--alphas", "3", "--n", "7"), "lemma2 takes no --n"),
         (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
+        (("diverge", "--config", "{tmp}/missing.cfg", "--n", "3"), "diverge takes no --n"),
+        (("kappa", "--n", "99"), "kappa takes no --n"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

@@ -5,6 +5,7 @@ against an independent route (literal mean accumulation, dense-grid weak
 norm, per-rank maximal averaging); they pin the experiment's output.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -19,8 +20,6 @@ from walshlab import (
     atom_block,
     bounded_case_monitor,
     build_martingale,
-    check_conditions,
-    check_jig,
     divergence_experiment,
     fwht_forward,
     guaranteed_floor,
@@ -123,38 +122,31 @@ def test_spectrum_is_constant_on_blocks_zero_off():
     assert np.all(c[2:4] == 0.0)  # between the blocks
 
 
-# --- schedule conditions ----------------------------------------------------
+# --- the spectral-mass condition -------------------------------------------
 
 
-def test_cond4_holds_for_dense_integer_schedules():
-    # strictly increasing integer exponents always satisfy the
-    # spectral-mass comparison, even with p close to 1
-    rep = check_conditions(log_cfg(p=0.99, alphas=(1, 2, 3)))
-    assert rep.cond4 == (True, True)
-    assert rep.cond4_all
+def _masses_stay_below_newest(alphas, p):
+    # sum_{e<k} 2^(2 a_e/p)/sqrt(a_e) < 2^(2 a_k/p)/sqrt(a_k) for every k,
+    # in log2 so huge exponents do not overflow
+    log_mass = [2.0 * a / p - 0.5 * math.log2(a) for a in alphas]
+    running = -math.inf
+    for earlier, newest in zip(log_mass, log_mass[1:]):
+        running = float(np.logaddexp2(running, earlier))
+        if not running < newest:
+            return False
+    return True
 
 
-def test_conditions_survive_huge_exponents():
-    # log-domain evaluation; these masses overflow double precision
-    rep = check_conditions(log_cfg(p=0.1, alphas=(100, 400, 1600)))
-    assert rep.cond4_all
-
-
-# --- growth condition scan --------------------------------------------------
-
-
-def test_check_jig_log_family():
-    rep = check_jig(log_cfg(alphas=(1, 2)), 2048)
-    assert rep.best_c_global == pytest.approx(0.0152400389557, rel=1e-9)
-    assert rep.holds  # c_const = 0.01 is below the observed floor
-    assert not check_jig(log_cfg(alphas=(1, 2), c_const=0.02), 2048).holds
-    # the block subsequence can only do better than the global scan
-    assert rep.best_c_subsequence >= rep.best_c_global
-
-
-def test_check_jig_rejects_tiny_range():
-    with pytest.raises(ValueError):
-        check_jig(log_cfg(alphas=(1,)), 1)
+def test_admitted_schedules_satisfy_the_mass_condition():
+    # CounterexampleConfig's docstring proves this for every integer
+    # schedule with a_0 >= 1 and 0 < p < 1; scan a dense grid of them
+    for p in (0.05, 0.3, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6):
+        for size in range(2, 8):
+            for alphas in itertools.combinations(range(1, 14), size):
+                assert _masses_stay_below_newest(alphas, p), (alphas, p)
+    for p, alphas in ((0.99, (1, 2, 3)), (0.1, (100, 400, 1600))):
+        cfg = log_cfg(p=p, alphas=alphas)
+        assert _masses_stay_below_newest(cfg.alphas, cfg.p)
 
 
 # --- the experiment ---------------------------------------------------------

@@ -103,10 +103,9 @@ def test_parse_family_round_trips_labels():
     for label in ("fejer", "log", "cesaro:0.25", "ualpha:0.3", "vlog"):
         w = parse_family(label)
         assert parse_family(w.label) == w
-    with pytest.raises(ValueError):
-        parse_family("spline:3")
-    with pytest.raises(ValueError):
-        parse_family("cesaro:1.5")
+    for bad in ("spline:3", "cesaro:1.5", "log:3", "fejer:abc"):
+        with pytest.raises(ValueError):
+            parse_family(bad)
 
 
 def test_parse_family_custom_file(tmp_path):
@@ -182,6 +181,11 @@ def test_kappa_thresholds():
     assert not kappa(WeightFamily.cesaro(cesaro_kappa_threshold() + eps)).positive
     assert kappa(WeightFamily.ualpha(ualpha_kappa_threshold() - eps)).positive
     assert not kappa(WeightFamily.ualpha(ualpha_kappa_threshold() + eps)).positive
+    # the report carries the threshold of its own family, if it has one
+    assert kappa(WeightFamily.cesaro(0.5)).threshold == cesaro_kappa_threshold()
+    assert kappa(WeightFamily.ualpha(0.3)).threshold == ualpha_kappa_threshold()
+    for w in (WeightFamily.fejer(), WeightFamily.logarithmic(), WeightFamily.vlog()):
+        assert kappa(w).threshold is None
 
 
 # --- Nörlund means ----------------------------------------------------------
