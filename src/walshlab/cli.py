@@ -256,7 +256,7 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
         return dirichlet_kernel(n, resolution)
     if kind == "rand":
         rng = np.random.default_rng(seed)
-        return DyadicFunction(resolution, rng.standard_normal(resolution.size))
+        return DyadicFunction.adopt(resolution, rng.standard_normal(resolution.size))
     if kind == "file":
         values = _read_numeric_column(arg)
         if values.size != resolution.size:
@@ -264,7 +264,7 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
                 f"{arg}: got {values.size} values, a {resolution.bits}-bit grid "
                 f"needs {resolution.size}"
             )
-        return DyadicFunction(resolution, values)
+        return DyadicFunction.adopt(resolution, values)
     raise ConfigError(
         f"unknown function spec {spec!r} (use const:V, walsh:K, dirichlet:N, "
         f"rand, or file:PATH)"

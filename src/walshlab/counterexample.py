@@ -151,7 +151,7 @@ def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> Dya
         )
     hi = dirichlet_kernel(1 << (2 * a + 1), resolution)
     lo = dirichlet_kernel(1 << (2 * a), resolution)
-    return DyadicFunction(resolution, cfg.block_height(k) * (hi.values - lo.values))
+    return DyadicFunction.adopt(resolution, cfg.block_height(k) * (hi.values - lo.values))
 
 
 def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
@@ -160,7 +160,7 @@ def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
     total = np.zeros(resolution.size)
     for k in range(cfg.K):
         total += cfg.block_weight(k) * atom_block(k, cfg, resolution).values
-    return DyadicFunction(resolution, total)
+    return DyadicFunction.adopt(resolution, total)
 
 
 def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> WalshSpectrum:
@@ -171,7 +171,7 @@ def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> Wa
     coeffs = np.zeros(resolution.size)
     for k, a in enumerate(cfg.alphas):
         coeffs[1 << (2 * a) : 1 << (2 * a + 1)] = cfg.block_height(k) * cfg.block_weight(k)
-    return WalshSpectrum(resolution, coeffs)
+    return WalshSpectrum.adopt(resolution, coeffs)
 
 
 def guaranteed_floor(cfg: CounterexampleConfig, k: int) -> float:
@@ -274,7 +274,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         a = cfg.alphas[k]
         bits = 2 * a + 1
         resolution = Resolution(bits)
-        prefix = WalshSpectrum(resolution, coeffs[: resolution.size])
+        prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
         mean = norlund_mean_multiplier(prefix, resolution.size, w)
         floor_measured = quarter_cell_min(mean)
         weak_value = weak_lp(mean, cfg.p).value
@@ -328,7 +328,7 @@ def bounded_case_monitor(
     out = []
     for n in range(f.resolution.bits + 1):
         resolution = Resolution(max(n, 1))
-        prefix = WalshSpectrum(resolution, coeffs[: resolution.size])
+        prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
         mean = norlund_mean_multiplier(prefix, 1 << n, w)
         out.append((n, lp_quasinorm(mean, p).value / hardy))
     return tuple(out)

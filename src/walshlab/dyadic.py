@@ -55,9 +55,17 @@ class Resolution:
 class DyadicFunction:
     """A real step function sampled on every cell of a grid.
 
-    Values are stored as a read-only float64 array of length 2^N; the
-    array is copied on construction so instances are immutable and safe
-    to share.
+    Values are stored as a read-only float64 array of length 2^N, so
+    instances are immutable and safe to share.  There are two ways in:
+
+    - ``DyadicFunction(resolution, values)`` copies ``values`` (any
+      array-like), so later changes to the source do not leak in;
+    - ``DyadicFunction.adopt(resolution, buffer)`` wraps a 1-D float64
+      buffer the caller gives up, without a copy, for buffers built
+      inside the library.
+
+    Both check the length and that every value is finite, and both mark
+    the stored array read-only.
     """
 
     __slots__ = ("resolution", "values")
@@ -66,7 +74,19 @@ class DyadicFunction:
     values: np.ndarray
 
     def __init__(self, resolution: Resolution, values) -> None:
-        arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+        self._bind(resolution, np.array(values, dtype=np.float64, copy=True).reshape(-1))
+
+    @classmethod
+    def adopt(cls, resolution: Resolution, buffer: np.ndarray) -> "DyadicFunction":
+        """Wrap ``buffer`` without a copy; the caller must not write to it
+        again.  It must be a 1-D float64 array."""
+        if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
+            raise TypeError("adopt needs a 1-D float64 array")
+        obj = object.__new__(cls)
+        obj._bind(resolution, buffer)
+        return obj
+
+    def _bind(self, resolution: Resolution, arr: np.ndarray) -> None:
         if arr.shape != (resolution.size,):
             raise ValueError(
                 f"expected {resolution.size} values for a {resolution.bits}-bit "
@@ -83,7 +103,7 @@ class DyadicFunction:
 
     @classmethod
     def constant(cls, value: float, resolution: Resolution) -> "DyadicFunction":
-        return cls(resolution, np.full(resolution.size, float(value)))
+        return cls.adopt(resolution, np.full(resolution.size, float(value)))
 
     def __repr__(self) -> str:
         return f"DyadicFunction(bits={self.resolution.bits})"

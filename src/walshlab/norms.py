@@ -29,6 +29,8 @@ __all__ = [
     "hardy_norm_estimate",
 ]
 
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class NormValue:
@@ -51,7 +53,9 @@ def _check_p(p: float) -> float:
 def lp_quasinorm(f: DyadicFunction, p: float) -> NormValue:
     """(integral of |f|^p)^(1/p); a norm for p >= 1, quasi-norm below."""
     p = _check_p(p)
-    value = float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    powers = np.abs(f.values)
+    powers **= p
+    value = float(np.mean(powers) ** (1.0 / p))
     return NormValue("lp", p, value)
 
 
@@ -61,13 +65,17 @@ def weak_lp(f: DyadicFunction, p: float) -> NormValue:
     magnitudes = np.abs(f.values)
     magnitudes.sort()
     total = magnitudes.size
+    best = 0.0
     # tail[i] = (M - i)/M, which is mu(|f| >= m_i) at the first index of
-    # each value (see the module docstring for ties and zeros)
-    tail = np.arange(total, 0, -1, dtype=np.float64)
-    tail /= total
-    tail **= 1.0 / p
-    tail *= magnitudes
-    return NormValue("weak_lp", p, float(tail.max()))
+    # each value (see the module docstring for ties and zeros); built in
+    # chunks so no second full-length array is needed
+    for start in range(0, total, _CHUNK):
+        tail = np.arange(total - start, max(total - start - _CHUNK, 0), -1, dtype=np.float64)
+        tail /= total
+        tail **= 1.0 / p
+        tail *= magnitudes[start : start + _CHUNK]
+        best = max(best, float(tail.max()))
+    return NormValue("weak_lp", p, best)
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -87,7 +95,7 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
         # this level repeats with period level.size across the grid
         periods = best.reshape(-1, level.size)
         np.maximum(periods, np.abs(level), out=periods)
-    return DyadicFunction(f.resolution, best)
+    return DyadicFunction.adopt(f.resolution, best)
 
 
 def hardy_norm_estimate(f: DyadicFunction, p: float) -> NormValue:

@@ -30,19 +30,40 @@ __all__ = [
     "walsh_function",
     "fwht_forward",
     "fwht_inverse",
+    "synthesize_in_place",
     "dirichlet_kernel",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class WalshSpectrum:
-    """Walsh coefficients f^(0..2^N-1) of a function at resolution N."""
+    """Walsh coefficients f^(0..2^N-1) of a function at resolution N.
+
+    Like ``DyadicFunction`` it has two ways in: the constructor copies
+    ``coefficients`` (any array-like), and ``WalshSpectrum.adopt(resolution,
+    buffer)`` wraps a 1-D float64 buffer the caller gives up, without a
+    copy.  Both check the length and that every coefficient is finite, and
+    both store a read-only array.
+    """
 
     resolution: Resolution
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coefficients, dtype=np.float64, copy=True).reshape(-1)
+        self._bind(np.array(self.coefficients, dtype=np.float64, copy=True).reshape(-1))
+
+    @classmethod
+    def adopt(cls, resolution: Resolution, buffer: np.ndarray) -> "WalshSpectrum":
+        """Wrap ``buffer`` without a copy; the caller must not write to it
+        again.  It must be a 1-D float64 array."""
+        if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
+            raise TypeError("adopt needs a 1-D float64 array")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "resolution", resolution)
+        obj._bind(buffer)
+        return obj
+
+    def _bind(self, arr: np.ndarray) -> None:
         if arr.shape != (self.resolution.size,):
             raise ValueError(
                 f"expected {self.resolution.size} coefficients, got {arr.shape[0]}"
@@ -66,34 +87,74 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
     return DyadicFunction(resolution, _sign_table(n, resolution.size))
 
 
-def _butterfly(values: np.ndarray) -> np.ndarray:
+# Strides below _BLOCK run one _BLOCK-cell chunk at a time and wider
+# strides in runs of _BLOCK/2 columns, so each pass works in cache.  Every
+# element still gets the same additions in the same order as in a
+# whole-array pass, so the output is bit-identical to it.
+_BLOCK = 1 << 16
+
+
+def _butterfly(a: np.ndarray) -> None:
     # In-place Walsh-Hadamard butterflies over bit strides 1, 2, 4, ...;
     # natural order in equals Paley order out, no reindexing needed.
-    # One half-size scratch buffer holds each stage's differences.
-    a = values.astype(np.float64, copy=True)
+    # One scratch buffer of half a chunk holds each pass's differences.
     size = a.shape[0]
-    scratch = np.empty(size // 2)
-    h = 1
+    block = min(size, _BLOCK)
+    scratch = np.empty(block // 2)
+    for chunk in a.reshape(-1, block):
+        h = 1
+        while h < block:
+            pairs = chunk.reshape(-1, 2, h)
+            _pass(pairs[:, 0, :], pairs[:, 1, :], scratch.reshape(-1, h))
+            h *= 2
+    width = block // 2
+    h = block
     while h < size:
-        pairs = a.reshape(-1, 2, h)
-        top, bottom = pairs[:, 0, :], pairs[:, 1, :]
-        diff = scratch.reshape(-1, h)
-        np.subtract(top, bottom, out=diff)
-        top += bottom
-        bottom[...] = diff
+        for top, bottom in a.reshape(-1, 2, h):
+            for j in range(0, h, width):
+                _pass(top[j : j + width], bottom[j : j + width], scratch)
         h *= 2
-    return a
+
+
+def _pass(top: np.ndarray, bottom: np.ndarray, diff: np.ndarray) -> None:
+    # (top, bottom) <- (top + bottom, top - bottom), elementwise
+    np.subtract(top, bottom, out=diff)
+    top += bottom
+    bottom[...] = diff
 
 
 def fwht_forward(f: DyadicFunction) -> WalshSpectrum:
     """Walsh coefficients of f: f^(k) = integral of f * w_k."""
-    size = f.resolution.size
-    return WalshSpectrum(f.resolution, _butterfly(f.values) / size)
+    coeffs = f.values.copy()
+    _butterfly(coeffs)
+    coeffs /= f.resolution.size
+    return WalshSpectrum.adopt(f.resolution, coeffs)
 
 
 def fwht_inverse(spectrum: WalshSpectrum) -> DyadicFunction:
     """Synthesize sum_k f^(k) w_k back into a step function."""
-    return DyadicFunction(spectrum.resolution, _butterfly(spectrum.coefficients))
+    return synthesize_in_place(spectrum.resolution, spectrum.coefficients.copy())
+
+
+def synthesize_in_place(resolution: Resolution, coefficients: np.ndarray) -> DyadicFunction:
+    """Synthesize sum_k c_k w_k from a coefficient buffer the caller gives up.
+
+    ``coefficients`` must be a writable, contiguous 1-D float64 array of
+    length 2^N.  The butterfly overwrites it with the cell values and the
+    result adopts it, so no copy is made; the caller must not use it again.
+    """
+    flags = coefficients.flags
+    if (
+        coefficients.dtype != np.float64
+        or coefficients.shape != (resolution.size,)
+        or not (flags.c_contiguous and flags.writeable)
+    ):
+        raise ValueError(
+            f"expected a writable contiguous array of {resolution.size} float64 "
+            f"coefficients, got {coefficients.dtype} of shape {coefficients.shape}"
+        )
+    _butterfly(coefficients)
+    return DyadicFunction.adopt(resolution, coefficients)
 
 
 def _power_block(k: int, idx: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import DegenerateWeightsError, DegreeError, ResourceCapError
-from .transform import WalshSpectrum, fwht_inverse
+from .transform import WalshSpectrum, synthesize_in_place
 
 __all__ = [
     "DEFAULT_VLOG_Q0",
@@ -63,15 +63,29 @@ DEFAULT_VLOG_Q0 = 2.0 / math.log(2.0) - 1.0 / math.log(3.0)
 MAX_WEIGHT_HORIZON = (1 << MAX_RESOLUTION_BITS) + 1
 
 _STRUCTURE_TOL = 1e-12
+_SCREEN_CHUNK = 1 << 16
+
+
+def _prefix_sums(q: np.ndarray) -> np.ndarray:
+    # Q_0 = 0 and Q_1..Q_count, accumulated straight into one array
+    out = np.empty(q.size + 1)
+    out[0] = 0.0
+    np.cumsum(q, out=out[1:])
+    return out
 
 
 def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
     # A_j^alpha for j = 0..count-1 via the one-term recurrence.
-    if count <= 0:
-        return np.zeros(0)
+    # Built in place: out holds 1 and the factors (alpha + j)/j, then
+    # their running products.
+    out = np.empty(count)
+    out[0] = 1.0
     j = np.arange(1, count, dtype=np.float64)
-    factors = (alpha + j) / j
-    return np.concatenate(([1.0], np.cumprod(factors)))
+    factors = out[1:]
+    np.add(j, alpha, out=factors)
+    factors /= j
+    np.cumprod(out, out=out)
+    return out
 
 
 class WeightFamily:
@@ -85,7 +99,7 @@ class WeightFamily:
         self.kind = kind
         self.params = params
         self._q = self._generate(4) if q_values is None else q_values
-        self._qsum = np.concatenate(([0.0], np.cumsum(self._q)))
+        self._qsum = _prefix_sums(self._q)
 
     # -- constructors ------------------------------------------------
 
@@ -138,19 +152,22 @@ class WeightFamily:
     def _generate(self, count: int) -> np.ndarray:
         if self.kind == "fejer":
             return np.ones(count)
-        if self.kind == "log":
-            return 1.0 / np.arange(1.0, count + 1.0)
         if self.kind == "cesaro":
             return _cesaro_prefix(self.params[0] - 1.0, count)
-        if self.kind == "ualpha":
-            return np.arange(1.0, count + 1.0) ** (self.params[0] - 1.0)
-        if self.kind == "vlog":
-            out = np.empty(count)
+        # the rest transform j + 1 = 1, 2, ..., count in place
+        out = np.arange(1.0, count + 1.0)
+        if self.kind == "log":
+            np.divide(1.0, out, out=out)
+        elif self.kind == "ualpha":
+            out **= self.params[0] - 1.0
+        elif self.kind == "vlog":
+            tail = out[1:]
+            np.log(tail, out=tail)
+            np.divide(1.0, tail, out=tail)
             out[0] = self.params[0]
-            if count > 1:
-                out[1:] = 1.0 / np.log(np.arange(2.0, count + 1.0))
-            return out
-        raise AssertionError(f"no generator for kind {self.kind!r}")
+        else:
+            raise AssertionError(f"no generator for kind {self.kind!r}")
+        return out
 
     def _ensure(self, count: int) -> None:
         """Grow the cache so q_0..q_(count-1) and Q_0..Q_count exist."""
@@ -167,7 +184,7 @@ class WeightFamily:
             )
         grown = min(max(count, 2 * self._q.size), MAX_WEIGHT_HORIZON)
         self._q = self._generate(grown)
-        self._qsum = np.concatenate(([0.0], np.cumsum(self._q)))
+        self._qsum = _prefix_sums(self._q)
 
     # -- access ------------------------------------------------------
 
@@ -279,10 +296,16 @@ def validate_structure(w: WeightFamily, n_max: int) -> StructureReport:
     """
     if n_max < 2:
         raise ValueError(f"structure check needs n_max >= 2, got {n_max}")
-    q = w.q_array(n_max + 1)
-    non_inc = bool(np.all(np.diff(q) <= _STRUCTURE_TOL))
-    convex = bool(np.all(q[:-2] + q[2:] - 2.0 * q[1:-1] >= -_STRUCTURE_TOL))
-    gap2 = bool(np.all(q[:-4] + q[4:] - 2.0 * q[2:-2] >= -_STRUCTURE_TOL))
+    w._ensure(n_max + 1)
+    q = w._q[: n_max + 1]
+    non_inc = convex = gap2 = True
+    # chunks overlapping by 4 terms hold every window of 5 consecutive
+    # weights, so the screen reads the cached q with chunk-sized temporaries
+    for start in range(0, max(q.size - 4, 1), _SCREEN_CHUNK):
+        c = q[start : start + _SCREEN_CHUNK + 4]
+        non_inc = non_inc and bool(np.all(np.diff(c) <= _STRUCTURE_TOL))
+        convex = convex and bool(np.all(c[:-2] + c[2:] - 2.0 * c[1:-1] >= -_STRUCTURE_TOL))
+        gap2 = gap2 and bool(np.all(c[:-4] + c[4:] - 2.0 * c[2:-2] >= -_STRUCTURE_TOL))
     return StructureReport(w.label, n_max, non_inc, convex, gap2)
 
 
@@ -339,9 +362,12 @@ def norlund_mean_multiplier(
     size = spectrum.resolution.size
     if not 1 <= n <= size:
         raise DegreeError(f"mean order {n} out of range (1..{size})")
-    scaled = np.zeros(size)
-    scaled[:n] = spectrum.coefficients[:n] * norlund_multipliers(w, n)
-    return fwht_inverse(WalshSpectrum(spectrum.resolution, scaled))
+    Qn = _checked_Q(w, n)
+    coeffs = np.zeros(size)
+    head = coeffs[:n]
+    np.divide(w.Q_array(n)[n:0:-1], Qn, out=head)
+    head *= spectrum.coefficients[:n]
+    return synthesize_in_place(spectrum.resolution, coeffs)
 
 
 def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> DyadicFunction:
@@ -359,4 +385,4 @@ def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> Dyadi
     coeffs[:a] = Q[b - a + 1]
     if b > a:
         coeffs[a:b] = Q[1 : b - a + 1][::-1]
-    return fwht_inverse(WalshSpectrum(resolution, coeffs))
+    return synthesize_in_place(resolution, coeffs)

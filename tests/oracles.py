@@ -17,6 +17,22 @@ def sign_table(n: int, size: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(masked).astype(np.int64) & 1)
 
 
+def butterfly(values) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform by whole-array butterfly
+    passes over strides 1, 2, 4, ...: (top, bottom) -> (top + bottom,
+    top - bottom).  The library's cache-blocked butterfly must match it
+    bit for bit."""
+    a = np.array(values, dtype=np.float64)
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        top, bottom = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :] = top + bottom
+        pairs[:, 1, :] = top - bottom
+        h *= 2
+    return a
+
+
 def partial_sum(spectrum: WalshSpectrum, n: int) -> DyadicFunction:
     """The n-th Walsh partial sum S_n f = sum_{k<n} f^(k) w_k."""
     size = spectrum.resolution.size

@@ -50,3 +50,31 @@ def test_constant_function():
     r = Resolution(3)
     f = DyadicFunction.constant(2.5, r)
     assert np.all(f.values == 2.5)
+
+
+def test_constructor_copies_its_input():
+    r = Resolution(2)
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    f = DyadicFunction(r, values)
+    values[0] = 99.0
+    assert f.values[0] == 1.0
+
+
+def test_adopt_wraps_without_copy_and_keeps_the_checks():
+    r = Resolution(2)
+    buffer = np.array([1.0, 2.0, 3.0, 4.0])
+    f = DyadicFunction.adopt(r, buffer)
+    assert f.values is buffer
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+    # the same refusals as the constructor, with the same messages
+    for bad in (np.zeros(5), np.array([0.0, np.inf, 0.0, 0.0])):
+        with pytest.raises(ValueError) as public:
+            DyadicFunction(r, bad)
+        with pytest.raises(ValueError) as adopted:
+            DyadicFunction.adopt(r, bad.copy())
+        assert str(adopted.value) == str(public.value)
+    with pytest.raises(TypeError):
+        DyadicFunction.adopt(r, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(TypeError):
+        DyadicFunction.adopt(r, np.zeros((2, 2)))

@@ -1,0 +1,65 @@
+"""Memory bounds of the full-grid paths, measured with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so the traced peak of a
+call is the extra memory it holds at once.  Sizes are in arrays of the
+grid's length; the weight cache is warmed before each measurement, so
+growing it is not counted.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from walshlab import (
+    DyadicFunction,
+    Resolution,
+    WeightFamily,
+    fwht_forward,
+    fwht_inverse,
+    norlund_mean_multiplier,
+    validate_structure,
+)
+
+BITS = 16
+
+
+def traced_peak(call) -> int:
+    """Peak bytes held at once by what call() allocates."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_function(bits: int) -> DyadicFunction:
+    r = Resolution(bits)
+    return DyadicFunction(r, np.random.default_rng(bits).standard_normal(r.size))
+
+
+def test_multiplier_mean_peak_is_at_most_2_6_arrays():
+    f = random_function(BITS)
+    spectrum = fwht_forward(f)
+    w = WeightFamily.logarithmic()
+    w.Q_array(f.resolution.size)
+    peak = traced_peak(lambda: norlund_mean_multiplier(spectrum, f.resolution.size, w))
+    assert peak <= 2.6 * 8 * f.resolution.size, peak / (8 * f.resolution.size)
+
+
+def test_transform_peaks_are_at_most_2_6_arrays():
+    f = random_function(BITS)
+    spectrum = fwht_forward(f)
+    array_bytes = 8 * f.resolution.size
+    forward = traced_peak(lambda: fwht_forward(f))
+    inverse = traced_peak(lambda: fwht_inverse(spectrum))
+    assert forward <= 2.6 * array_bytes, forward / array_bytes
+    assert inverse <= 2.6 * array_bytes, inverse / array_bytes
+
+
+def test_structure_screen_reads_the_cache_in_place():
+    n_max = 1 << 20
+    w = WeightFamily.logarithmic()
+    w.Q(n_max + 1)
+    peak = traced_peak(lambda: validate_structure(w, n_max))
+    assert peak < 8 * (n_max + 1), peak / (8 * (n_max + 1))

@@ -18,11 +18,12 @@ from walshlab import (
     dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
+    synthesize_in_place,
     walsh_function,
 )
 from walshlab.errors import DegreeError
 
-from oracles import partial_sum
+from oracles import butterfly, partial_sum
 
 
 def sign_oracle(n: int, x: int) -> int:
@@ -88,6 +89,95 @@ def test_transform_pair_exact_on_integer_inputs():
         assert np.array_equal(forward, (W @ values) / r.size), bits
         inverse = fwht_inverse(WalshSpectrum(r, values)).values
         assert np.array_equal(inverse, (W.T @ values).astype(np.float64)), bits
+
+
+@pytest.mark.parametrize("bits", [17, 20])
+@pytest.mark.parametrize("kind", ["random", "integer"])
+def test_blocked_butterfly_matches_whole_array_passes(bits, kind):
+    # above 16 bits the butterfly runs in cache-sized chunks; it must
+    # still perform exactly the additions of whole-array passes
+    r = Resolution(bits)
+    rng = np.random.default_rng(bits)
+    if kind == "random":
+        values = rng.standard_normal(r.size)
+    else:
+        values = rng.integers(-1000, 1001, size=r.size).astype(np.float64)
+    expect = butterfly(values)
+    assert np.array_equal(fwht_inverse(WalshSpectrum(r, values)).values, expect)
+    assert np.array_equal(fwht_forward(DyadicFunction(r, values)).coefficients, expect / r.size)
+
+
+def test_spectrum_constructor_copies_its_input():
+    r = Resolution(3)
+    coeffs = np.arange(8.0)
+    spectrum = WalshSpectrum(r, coeffs)
+    coeffs[0] = 99.0
+    assert spectrum.coefficients[0] == 0.0
+    with pytest.raises(ValueError):
+        spectrum.coefficients[1] = 5.0
+
+
+def test_spectrum_adopt_wraps_without_copy_and_keeps_the_checks():
+    r = Resolution(3)
+    buffer = np.arange(8.0)
+    spectrum = WalshSpectrum.adopt(r, buffer)
+    assert spectrum.coefficients is buffer
+    assert not buffer.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum.coefficients[0] = 1.0
+    # the same refusals as the constructor, with the same messages
+    for bad in (np.zeros(5), np.array([0.0, np.nan, 0, 0, 0, 0, 0, 0])):
+        with pytest.raises(ValueError) as public:
+            WalshSpectrum(r, bad)
+        with pytest.raises(ValueError) as adopted:
+            WalshSpectrum.adopt(r, bad.copy())
+        assert str(adopted.value) == str(public.value)
+    with pytest.raises(TypeError):
+        WalshSpectrum.adopt(r, np.arange(8))
+    with pytest.raises(TypeError):
+        WalshSpectrum.adopt(r, np.zeros((2, 4)))
+
+
+def test_synthesis_consumes_its_buffer():
+    r = Resolution(4)
+    rng = np.random.default_rng(48)
+    coeffs = rng.standard_normal(r.size)
+    expect = fwht_inverse(WalshSpectrum(r, coeffs)).values
+    buffer = coeffs.copy()
+    g = synthesize_in_place(r, buffer)
+    assert g.values is buffer
+    assert np.array_equal(g.values, expect)
+    assert not buffer.flags.writeable
+    with pytest.raises(ValueError):
+        synthesize_in_place(r, np.zeros(8))
+    with pytest.raises(ValueError):
+        synthesize_in_place(r, np.zeros(16, dtype=np.int64))
+    # a strided view or a read-only buffer cannot be transformed in place
+    with pytest.raises(ValueError):
+        synthesize_in_place(r, np.zeros(32)[::2])
+    with pytest.raises(ValueError):
+        synthesize_in_place(r, buffer)
+
+
+def test_synthesis_refuses_an_overflowing_result():
+    # finite coefficients whose butterfly sums overflow to inf
+    r = Resolution(2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        synthesize_in_place(r, np.full(4, 1e308))
+
+
+def test_transforms_leave_their_input_untouched():
+    r = Resolution(17)
+    rng = np.random.default_rng(49)
+    f = DyadicFunction(r, rng.standard_normal(r.size))
+    before = f.values.copy()
+    spectrum = fwht_forward(f)
+    assert np.array_equal(f.values, before)
+    coeffs = spectrum.coefficients.copy()
+    first = fwht_inverse(spectrum)
+    assert np.array_equal(spectrum.coefficients, coeffs)
+    assert not spectrum.coefficients.flags.writeable
+    assert np.array_equal(fwht_inverse(spectrum).values, first.values)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -141,6 +141,31 @@ def test_structure_screen_flags_concave():
     assert not rep.ok
 
 
+def screen_oracle(q):
+    # the three screens over the whole prefix at once
+    tol = 1e-12
+    return (
+        bool(np.all(np.diff(q) <= tol)),
+        bool(np.all(q[:-2] + q[2:] - 2.0 * q[1:-1] >= -tol)),
+        bool(np.all(q[:-4] + q[4:] - 2.0 * q[2:-2] >= -tol)),
+    )
+
+
+@pytest.mark.parametrize("factor", [1.5, 0.5])
+def test_structure_screen_sees_defects_at_chunk_seams(factor):
+    # the screen reads the prefix in overlapping chunks of 2^16 terms; a
+    # defect on or next to a seam must be seen as by a whole-array screen
+    base = 1.0 / np.arange(1.0, 140_002.0)
+    for pos in (65532, 65534, 65535, 65536, 65537, 65539, 65540, 131071, 131072,
+                131075, 139_999, 140_000):
+        q = base.copy()
+        q[pos] *= factor
+        rep = validate_structure(WeightFamily.custom(q), q.size - 1)
+        expect = screen_oracle(q)
+        assert (rep.non_increasing, rep.convex, rep.second_gap) == expect, (pos, factor)
+        assert not all(expect), (pos, factor)
+
+
 # --- kappa ------------------------------------------------------------------
 
 
@@ -263,6 +288,18 @@ def test_mean_order_out_of_range():
         norlund_mean_multiplier(spectrum, 0, w)
     with pytest.raises(DegreeError):
         norlund_mean_multiplier(spectrum, 9, w)
+
+
+def test_means_leave_the_spectrum_untouched():
+    r = Resolution(17)
+    rng = np.random.default_rng(9)
+    spectrum = fwht_forward(DyadicFunction(r, rng.standard_normal(r.size)))
+    before = spectrum.coefficients.copy()
+    w = WeightFamily.logarithmic()
+    first = norlund_mean_multiplier(spectrum, 100_000, w)
+    assert np.array_equal(spectrum.coefficients, before)
+    assert np.array_equal(norlund_mean_multiplier(spectrum, 100_000, w).values, first.values)
+    assert not first.values.flags.writeable
 
 
 # --- kernel sums ------------------------------------------------------------
