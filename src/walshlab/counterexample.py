@@ -133,8 +133,15 @@ class CounterexampleConfig:
         return 2 * self.alphas[-1] + 1
 
     def block_height(self, k: int) -> float:
-        """Spectrum height 2^(2 a_k (1/p - 1)) of block k."""
-        return 2.0 ** (2 * self.alphas[k] * (1.0 / self.p - 1.0))
+        """Spectrum height 2^(2 a_k (1/p - 1)) of block k; raises
+        PreconditionError when it exceeds the float64 range."""
+        try:
+            return 2.0 ** (2 * self.alphas[k] * (1.0 / self.p - 1.0))
+        except OverflowError:
+            raise PreconditionError(
+                f"p = {self.p} is too small: the block height 2^(2 a (1/p - 1)) "
+                f"overflows at a = {self.alphas[k]}"
+            ) from None
 
     def block_weight(self, k: int) -> float:
         """Martingale coefficient a_k^(-1/2) of block k."""

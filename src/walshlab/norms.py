@@ -53,9 +53,18 @@ def _check_p(p: float) -> float:
 def lp_quasinorm(f: DyadicFunction, p: float) -> NormValue:
     """(integral of |f|^p)^(1/p); a norm for p >= 1, quasi-norm below."""
     p = _check_p(p)
-    powers = np.abs(f.values)
-    powers **= p
-    value = float(np.mean(powers) ** (1.0 / p))
+    values = f.values
+    powers = np.empty(min(values.size, _CHUNK))
+    sums = []
+    for start in range(0, values.size, powers.size):
+        np.abs(values[start : start + powers.size], out=powers)
+        powers **= p
+        sums.append(np.sum(powers))
+    # numpy sums a power-of-two length by halves, so combining the chunk
+    # sums pairwise gives exactly np.mean's total
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    value = float((sums[0] / values.size) ** (1.0 / p))
     return NormValue("lp", p, value)
 
 

@@ -88,31 +88,55 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
 
 
 # Strides below _BLOCK run one _BLOCK-cell chunk at a time and wider
-# strides in runs of _BLOCK/2 columns, so each pass works in cache.  Every
-# element still gets the same additions in the same order as in a
-# whole-array pass, so the output is bit-identical to it.
+# strides in runs of _BLOCK/2 columns, so each pass works in cache.  Inside
+# a chunk of 2^b cells, the strides below run = 2^(b//2) stay within runs
+# of `run` contiguous cells; they run on half-chunk tiles copied out
+# transposed to (run, rows), where stride h becomes stride h * rows and no
+# inner loop is shorter than `rows`.  Every element still gets the same
+# additions in the same order as in a whole-array pass, so the output is
+# bit-identical to it.
+#
+# numpy's ufunc loop runs a 2-D operand whose rows are shorter than half
+# its buffer (8192 elements by default) about three times slower than a
+# contiguous one of the same size (numpy 2.4).  No pass here casts, so
+# none needs the buffer: the butterfly sets numpy's smallest, 16 elements,
+# for its own ufunc calls.
 _BLOCK = 1 << 16
 
 
 def _butterfly(a: np.ndarray) -> None:
     # In-place Walsh-Hadamard butterflies over bit strides 1, 2, 4, ...;
     # natural order in equals Paley order out, no reindexing needed.
-    # One scratch buffer of half a chunk holds each pass's differences.
     size = a.shape[0]
     block = min(size, _BLOCK)
-    scratch = np.empty(block // 2)
-    for chunk in a.reshape(-1, block):
-        h = 1
-        while h < block:
-            pairs = chunk.reshape(-1, 2, h)
-            _pass(pairs[:, 0, :], pairs[:, 1, :], scratch.reshape(-1, h))
+    run = 1 << (block.bit_length() - 1) // 2
+    rows = block // (2 * run)
+    # the tile doubles as the difference buffer of the in-place passes
+    tile = np.empty((run, rows))
+    flat = tile.reshape(-1)
+    diff = np.empty(flat.size // 2)
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(16)
+        for chunk in a.reshape(-1, block):
+            for piece in chunk.reshape(-1, rows, run):
+                np.copyto(tile, piece.T)
+                _strides(flat, rows, flat.size, diff)
+                np.copyto(piece, tile.T)
+            _strides(chunk, run, block, flat)
+        width = block // 2
+        h = block
+        while h < size:
+            for top, bottom in a.reshape(-1, 2, h):
+                for j in range(0, h, width):
+                    _pass(top[j : j + width], bottom[j : j + width], flat)
             h *= 2
-    width = block // 2
-    h = block
-    while h < size:
-        for top, bottom in a.reshape(-1, 2, h):
-            for j in range(0, h, width):
-                _pass(top[j : j + width], bottom[j : j + width], scratch)
+
+
+def _strides(x: np.ndarray, h: int, end: int, diff: np.ndarray) -> None:
+    # butterflies over strides h, 2h, ... below end, all along x
+    while h < end:
+        pairs = x.reshape(-1, 2, h)
+        _pass(pairs[:, 0, :], pairs[:, 1, :], diff.reshape(-1, h))
         h *= 2
 
 

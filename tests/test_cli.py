@@ -322,6 +322,8 @@ def test_mean_of_constant_is_constant(capsys):
         (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
         (("diverge", "--config", "{tmp}/missing.cfg", "--n", "3"), "diverge takes no --n"),
         (("kappa", "--n", "99"), "kappa takes no --n"),
+        (("diverge", "--config", f"{REPRO}/log_p075.cfg", "--p", "0.005"),
+         "block height 2^(2 a (1/p - 1)) overflows"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

@@ -16,6 +16,7 @@ from walshlab import (
     WeightFamily,
     fwht_forward,
     fwht_inverse,
+    lp_quasinorm,
     norlund_mean_multiplier,
     validate_structure,
 )
@@ -55,6 +56,13 @@ def test_transform_peaks_are_at_most_2_6_arrays():
     inverse = traced_peak(lambda: fwht_inverse(spectrum))
     assert forward <= 2.6 * array_bytes, forward / array_bytes
     assert inverse <= 2.6 * array_bytes, inverse / array_bytes
+
+
+def test_lp_quasinorm_holds_under_half_an_array():
+    f = random_function(18)
+    array_bytes = 8 * f.resolution.size
+    peak = traced_peak(lambda: lp_quasinorm(f, 0.75))
+    assert peak < 0.5 * array_bytes, peak / array_bytes
 
 
 def test_structure_screen_reads_the_cache_in_place():

@@ -48,6 +48,18 @@ def test_lp_quasinorm_frozen_values():
     assert lp_quasinorm(quarter, 0.5).value == pytest.approx(0.0625, abs=1e-15)
 
 
+@pytest.mark.parametrize("bits", range(1, 21))
+def test_chunked_lp_quasinorm_equals_whole_array_mean(bits):
+    # above 16 bits lp_quasinorm sums |f|^p chunk by chunk; the pairwise
+    # combination must reproduce np.mean's summation exactly
+    r = Resolution(bits)
+    values = np.random.default_rng(bits).standard_normal(r.size)
+    f = DyadicFunction(r, values)
+    for p in (0.4, 0.75, 1.0, 2.0):
+        expect = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+        assert lp_quasinorm(f, p).value == expect, p
+
+
 def test_lp_rejects_nonpositive_p():
     r = Resolution(1)
     f = DyadicFunction.constant(1.0, r)

@@ -91,11 +91,12 @@ def test_transform_pair_exact_on_integer_inputs():
         assert np.array_equal(inverse, (W.T @ values).astype(np.float64)), bits
 
 
-@pytest.mark.parametrize("bits", [17, 20])
+@pytest.mark.parametrize("bits", [*range(1, 19), 20])
 @pytest.mark.parametrize("kind", ["random", "integer"])
 def test_blocked_butterfly_matches_whole_array_passes(bits, kind):
-    # above 16 bits the butterfly runs in cache-sized chunks; it must
-    # still perform exactly the additions of whole-array passes
+    # the butterfly runs its short strides on transposed tiles, whose shape
+    # depends on the bit count, and above 16 bits in cache-sized chunks; it
+    # must still perform exactly the additions of whole-array passes
     r = Resolution(bits)
     rng = np.random.default_rng(bits)
     if kind == "random":
