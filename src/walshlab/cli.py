@@ -20,11 +20,14 @@ so the data stream stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
+import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,40 +82,95 @@ def _json_cell(v: Any, full: bool) -> Any:
     return str(v)
 
 
+# rows formatted and written at a time, so the whole output text is never held
+_EMIT_ROWS = 1 << 12
+
+
+def _column_text(column: tuple, fmt: str, full: bool) -> Iterable[str]:
+    """The cells of one column as text: a lazy C-level map for an all-float
+    or all-int column, and a list made cell by cell for any other.  Either
+    way a cell reads as _csv_cell writes it, or as json.dumps writes
+    _json_cell of it in a row."""
+    kinds = set(map(type, column))
+    if kinds == {float} and (fmt == "csv" or all(map(math.isfinite, column))):
+        if full:
+            return map(float.__repr__, column)
+        text = map("{:.9g}".format, column)
+        # json writes the float of that text by float.__repr__
+        return text if fmt == "csv" else map(float.__repr__, map(float, text))
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if fmt == "csv":
+        return [_csv_cell(v, full) for v in column]
+    # a row's values sit three levels deep in the indent=2 layout
+    return [
+        json.dumps(_json_cell(v, full), indent=2).replace("\n", "\n      ")
+        for v in column
+    ]
+
+
+def _row_chunks(
+    columns: Sequence[str], rows: Iterable[Sequence[Any]], fmt: str, full: bool
+) -> Iterator[str]:
+    """The table body, _EMIT_ROWS rows at a time: each chunk is transposed,
+    formatted column by column and joined by one row template."""
+    if fmt == "csv":
+        template = ",".join(["{}"] * len(columns)) + "\n"
+    else:
+        keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in columns)
+        # each row leads with its separator; _emit drops the first comma
+        template = ",\n    {{\n" + ",\n".join(f"      {k}: {{}}" for k in keys) + "\n    }}"
+    rows = iter(rows)
+    for chunk in iter(lambda: list(itertools.islice(rows, _EMIT_ROWS)), []):
+        cells = [_column_text(column, fmt, full) for column in zip(*chunk)]
+        if fmt == "json" or all(isinstance(c, map) for c in cells):
+            yield "".join(map(template.format, *cells))
+        else:
+            # cells made one by one may need quoting, which csv.writer decides
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(zip(*cells))
+            yield buf.getvalue()
+
+
 def _emit(
     args: argparse.Namespace,
     columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
+    rows: Iterable[Sequence[Any]],
     meta: dict[str, Any],
 ) -> None:
-    """Write one table to ``args.out`` (or stdout) in ``args.format``."""
+    """Write one table to ``args.out`` (or stdout) in ``args.format``.
+
+    The bytes are those of csv.writer over _csv_cell cells, or of
+    json.dumps(indent=2) over _json_cell cells, written chunk by chunk."""
     fmt, full = args.format or "csv", args.full_precision
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_csv_cell(v, full) for v in row] for row in rows)
-        text = buf.getvalue()
-    elif fmt == "json":
-        payload = {
-            "meta": {k: _json_cell(v, full) for k, v in meta.items()},
-            "rows": [
-                {c: _json_cell(v, full) for c, v in zip(columns, row)} for row in rows
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    chunks = _row_chunks(columns, rows, fmt, full)
+    with (
+        open(args.out, "w", encoding="utf-8", newline="")
+        if args.out
+        else contextlib.nullcontext(sys.stdout)
+    ) as out:
+        if fmt == "csv":
+            csv.writer(out, lineterminator="\n").writerow(columns)
+            out.writelines(chunks)
+            return
+        payload = {"meta": {k: _json_cell(v, full) for k, v in meta.items()}, "rows": []}
+        # splice the rows in where json.dumps wrote the empty list
+        head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
+        first = next(chunks, None)
+        if first is None:
+            out.write(f"{head}[]{tail}\n")
+            return
+        out.write(f"{head}[{first[1:]}")
+        out.writelines(chunks)
+        out.write(f"\n  ]{tail}\n")
 
 
-def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], list]:
-    """Columns and rows of a per-cell table: (index, value) pairs."""
-    return ("index", column), list(enumerate(values.tolist()))
+def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], Iterator]:
+    """Columns and rows of a per-cell table: (index, value) pairs, made as
+    they are written."""
+    return ("index", column), enumerate(values.tolist())
 
 
 def _note(line: str) -> None:
@@ -280,7 +338,7 @@ def _resolution(args: argparse.Namespace) -> Resolution:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (columns, rows, meta, exit status) for main to emit
 
-_Table = tuple[Sequence[str], Sequence[Sequence[Any]], dict[str, Any], int]
+_Table = tuple[Sequence[str], Iterable[Sequence[Any]], dict[str, Any], int]
 
 
 def _cmd_transform(args: argparse.Namespace) -> _Table:

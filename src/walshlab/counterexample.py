@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicFunction, Resolution, quarter_cell_min
-from .errors import PreconditionError
+from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution, quarter_cell_min
+from .errors import PreconditionError, ResourceCapError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
 from .transform import WalshSpectrum, dirichlet_kernel, fwht_forward
 from .weights import (
@@ -264,6 +264,11 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     against the Hardy cost of the block that produced it.
     """
     w = cfg.weights
+    if cfg.required_bits > MAX_RESOLUTION_BITS:
+        raise ResourceCapError(
+            f"block exponent {cfg.alphas[-1]} needs {cfg.required_bits} bits, "
+            f"over the cap of {MAX_RESOLUTION_BITS}"
+        )
     structure = validate_structure(w, 1 << cfg.required_bits)
     if not structure.ok:
         raise PreconditionError(
@@ -332,6 +337,7 @@ def bounded_case_monitor(
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
     coeffs = fwht_forward(f).coefficients
+    w.Q_array(f.resolution.size)  # grow the weight cache once, for the last row
     out = []
     for n in range(f.resolution.bits + 1):
         resolution = Resolution(max(n, 1))

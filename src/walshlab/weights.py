@@ -179,8 +179,10 @@ class WeightFamily:
                 f"{count} requested"
             )
         if count > MAX_WEIGHT_HORIZON:
+            # a huge horizon is named by its length, not by all its digits
+            shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
             raise ResourceCapError(
-                f"weight horizon {count} exceeds cap {MAX_WEIGHT_HORIZON}"
+                f"weight horizon {shown} exceeds cap {MAX_WEIGHT_HORIZON}"
             )
         grown = min(max(count, 2 * self._q.size), MAX_WEIGHT_HORIZON)
         self._q = self._generate(grown)

@@ -2,8 +2,12 @@
 
 Each follows its definition term by term, in O(n 2^N) work, and is not
 part of the package: production code has one evaluation path per
-quantity.
+quantity.  emit_text is the CLI's table encoder written cell by cell.
 """
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -54,3 +58,44 @@ def norlund_mean_naive(f: DyadicFunction, n: int, w) -> DyadicFunction:
         running = running + coeff[k - 1] * sign_table(k - 1, size)
         acc = acc + w.q(n - k) * running
     return DyadicFunction(f.resolution, acc / w.Q(n))
+
+
+def _float_text(v, full: bool) -> str:
+    return repr(float(v)) if full else f"{v:.9g}"
+
+
+def _csv_cell(v, full: bool) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _float_text(v, full)
+    if v is None:
+        return ""
+    return str(v)
+
+
+def _json_cell(v, full: bool):
+    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
+        return v
+    if isinstance(v, float):
+        return float(_float_text(v, full))
+    if isinstance(v, (list, tuple)):
+        return [_json_cell(item, full) for item in v]
+    return str(v)
+
+
+def emit_text(columns, rows, meta, fmt: str, full: bool) -> str:
+    """A CLI table as one string, encoded cell by cell: csv.writer over
+    the CSV cells, or json.dumps(indent=2) of the whole payload.  The CLI's
+    chunked, column-wise encoder must write exactly these bytes."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(v, full) for v in row] for row in rows)
+        return buf.getvalue()
+    payload = {
+        "meta": {k: _json_cell(v, full) for k, v in meta.items()},
+        "rows": [{c: _json_cell(v, full) for c, v in zip(columns, row)} for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -223,6 +223,18 @@ def test_diverge_overflowing_beta_exp_is_config_error(tmp_path, capsys):
     assert "beta_exp" in err
 
 
+def test_diverge_oversized_schedule_is_a_short_resource_cap(tmp_path, capsys):
+    # the last block needs 3201 bits: refused before the structure screen
+    # grows Q to a horizon of 964 digits
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("family = log\np = 0.1\nalphas = 3, 1600\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ") and "3201 bits" in err
+    assert len(err) < 200, len(err)
+
+
 def test_diverge_missing_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family = log\np = 0.75\n")

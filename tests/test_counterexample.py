@@ -278,6 +278,25 @@ def test_monitor_rows_match_literal_mean(label):
         assert ratio == pytest.approx(expect, rel=1e-12), (label, n)
 
 
+@pytest.mark.parametrize("label", MONITOR_FAMILIES)
+def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
+    # one cache for every row, and the rows are those of a cache grown
+    # further beforehand, bit for bit
+    r = Resolution(12)
+    f = DyadicFunction(r, np.random.default_rng(205).standard_normal(r.size))
+    warm = parse_family(label)
+    warm.Q(4 * r.size)
+    expect = bounded_case_monitor(f, warm, 0.75)
+    cold = parse_family(label)
+    sizes = []
+    generate = WeightFamily._generate
+    monkeypatch.setattr(
+        WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+    )
+    assert bounded_case_monitor(f, cold, 0.75) == expect
+    assert sizes == [r.size], sizes
+
+
 def test_monitor_rejects_zero_function():
     r = Resolution(3)
     with pytest.raises(ValueError):

@@ -3,13 +3,17 @@
 numpy reports its array buffers to tracemalloc, so the traced peak of a
 call is the extra memory it holds at once.  Sizes are in arrays of the
 grid's length; the weight cache is warmed before each measurement, so
-growing it is not counted.
+growing it is not counted.  The CLI's table encoder is bounded in MiB,
+since it holds one chunk of rows as text whatever the table's length.
 """
 
+import argparse
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import walshlab.cli as cli
 from walshlab import (
     DyadicFunction,
     Resolution,
@@ -71,3 +75,11 @@ def test_structure_screen_reads_the_cache_in_place():
     w.Q(n_max + 1)
     peak = traced_peak(lambda: validate_structure(w, n_max))
     assert peak < 8 * (n_max + 1), peak / (8 * (n_max + 1))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_streams_a_large_table(fmt, tmp_path):
+    rows = list(enumerate(random_function(BITS).values.tolist()))
+    args = argparse.Namespace(format=fmt, full_precision=False, out=str(tmp_path / "t"))
+    peak = traced_peak(lambda: cli._emit(args, ("index", "value"), rows, {"n": BITS}))
+    assert peak < 4 << 20, peak / (1 << 20)

@@ -179,6 +179,12 @@ def test_weight_horizon_admits_the_largest_grid():
     assert validate_structure(WeightFamily.logarithmic(), 1 << 23).ok
 
 
+def test_huge_weight_horizon_is_named_by_its_length():
+    with pytest.raises(ResourceCapError, match="of 3201 bits") as info:
+        WeightFamily.logarithmic().Q(1 << 3200)
+    assert len(str(info.value)) < 200, len(str(info.value))
+
+
 def test_kappa_closed_forms():
     assert kappa(WeightFamily.logarithmic()).kappa == pytest.approx(0.125, abs=1e-15)
     assert kappa(WeightFamily.vlog()).kappa == pytest.approx(
