@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import itertools
 import json
 import math
@@ -87,10 +86,10 @@ _EMIT_ROWS = 1 << 12
 
 
 def _column_text(column: tuple, fmt: str, full: bool) -> Iterable[str]:
-    """The cells of one column as text: a lazy C-level map for an all-float
-    or all-int column, and a list made cell by cell for any other.  Either
-    way a cell reads as _csv_cell writes it, or as json.dumps writes
-    _json_cell of it in a row."""
+    """The cells of one column as text: a lazy C-level map exactly when the
+    column is all-float or all-int, whose numerals CSV never quotes, and a
+    list made cell by cell for any other.  Either way a cell reads as
+    _csv_cell writes it, or as json.dumps writes _json_cell of it in a row."""
     kinds = set(map(type, column))
     if kinds == {float} and (fmt == "csv" or all(map(math.isfinite, column))):
         if full:
@@ -109,27 +108,14 @@ def _column_text(column: tuple, fmt: str, full: bool) -> Iterable[str]:
     ]
 
 
-def _row_chunks(
-    columns: Sequence[str], rows: Iterable[Sequence[Any]], fmt: str, full: bool
-) -> Iterator[str]:
-    """The table body, _EMIT_ROWS rows at a time: each chunk is transposed,
-    formatted column by column and joined by one row template."""
-    if fmt == "csv":
-        template = ",".join(["{}"] * len(columns)) + "\n"
-    else:
-        keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in columns)
-        # each row leads with its separator; _emit drops the first comma
-        template = ",\n    {{\n" + ",\n".join(f"      {k}: {{}}" for k in keys) + "\n    }}"
+def _column_chunks(
+    rows: Iterable[Sequence[Any]], fmt: str, full: bool
+) -> Iterator[list[Iterable[str]]]:
+    """The table body, _EMIT_ROWS rows at a time: each chunk is transposed
+    and formatted column by column."""
     rows = iter(rows)
     for chunk in iter(lambda: list(itertools.islice(rows, _EMIT_ROWS)), []):
-        cells = [_column_text(column, fmt, full) for column in zip(*chunk)]
-        if fmt == "json" or all(isinstance(c, map) for c in cells):
-            yield "".join(map(template.format, *cells))
-        else:
-            # cells made one by one may need quoting, which csv.writer decides
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(zip(*cells))
-            yield buf.getvalue()
+        yield [_column_text(column, fmt, full) for column in zip(*chunk)]
 
 
 def _emit(
@@ -145,25 +131,37 @@ def _emit(
     fmt, full = args.format or "csv", args.full_precision
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    chunks = _row_chunks(columns, rows, fmt, full)
+    chunks = _column_chunks(rows, fmt, full)
     with (
         open(args.out, "w", encoding="utf-8", newline="")
         if args.out
         else contextlib.nullcontext(sys.stdout)
     ) as out:
         if fmt == "csv":
-            csv.writer(out, lineterminator="\n").writerow(columns)
-            out.writelines(chunks)
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(columns)
+            template = ",".join(["{}"] * len(columns)) + "\n"
+            for cells in chunks:
+                if all(isinstance(c, map) for c in cells):
+                    # numerals only, so one template joins the chunk,
+                    # faster than writerows on the emit workload
+                    out.write("".join(map(template.format, *cells)))
+                else:
+                    writer.writerows(zip(*cells))
             return
+        keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in columns)
+        # each row leads with its separator; the first one's comma is dropped
+        template = ",\n    {{\n" + ",\n".join(f"      {k}: {{}}" for k in keys) + "\n    }}"
+        bodies = ("".join(map(template.format, *cells)) for cells in chunks)
         payload = {"meta": {k: _json_cell(v, full) for k, v in meta.items()}, "rows": []}
         # splice the rows in where json.dumps wrote the empty list
         head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
-        first = next(chunks, None)
+        first = next(bodies, None)
         if first is None:
             out.write(f"{head}[]{tail}\n")
             return
         out.write(f"{head}[{first[1:]}")
-        out.writelines(chunks)
+        out.writelines(bodies)
         out.write(f"\n  ]{tail}\n")
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution, quarter_cell_min
-from .errors import PreconditionError, ResourceCapError
+from .dyadic import DyadicFunction, Resolution, quarter_cell_min
+from .errors import PreconditionError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
 from .transform import WalshSpectrum, dirichlet_kernel, fwht_forward
 from .weights import (
@@ -264,12 +264,9 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     against the Hardy cost of the block that produced it.
     """
     w = cfg.weights
-    if cfg.required_bits > MAX_RESOLUTION_BITS:
-        raise ResourceCapError(
-            f"block exponent {cfg.alphas[-1]} needs {cfg.required_bits} bits, "
-            f"over the cap of {MAX_RESOLUTION_BITS}"
-        )
-    structure = validate_structure(w, 1 << cfg.required_bits)
+    # Resolution refuses a schedule past the bit cap before the screen runs
+    widest = Resolution(cfg.required_bits)
+    structure = validate_structure(w, widest.size)
     if not structure.ok:
         raise PreconditionError(
             f"weight family {w.label} fails the structure screen: {structure}"
@@ -277,7 +274,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     kap = kappa(w).kappa
     c_theory = _theory_constant(cfg, kap)
     measure_factor = 0.25 ** (1.0 / cfg.p)
-    coeffs = martingale_spectrum(cfg, Resolution(cfg.required_bits)).coefficients
+    coeffs = martingale_spectrum(cfg, widest).coefficients
 
     rows = []
     floors_hold = True
