@@ -37,7 +37,7 @@ from .counterexample import (
     bounded_case_monitor,
     divergence_experiment,
 )
-from .dyadic import DyadicFunction, Resolution
+from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import ConfigError, PreconditionError, ResourceCapError, WalshLabError
 from .kernel_checks import block_kernel, kernel_lower_bound_check
 from .transform import (
@@ -216,6 +216,12 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
             raise ConfigError(f"bad exponent range {text!r}") from None
         if hi < lo:
             raise ConfigError(f"empty exponent range {text!r}")
+        if 2 * hi + 1 > MAX_RESOLUTION_BITS:
+            # refused before the range is built: exponent a needs 2a+1 bits
+            raise ResourceCapError(
+                f"block exponents above {(MAX_RESOLUTION_BITS - 1) // 2} need more "
+                f"than the {MAX_RESOLUTION_BITS}-bit grid cap"
+            )
         return tuple(range(lo, hi + 1))
     parts = text.replace(",", " ").split()
     if not parts:

@@ -264,13 +264,14 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     against the Hardy cost of the block that produced it.
     """
     w = cfg.weights
-    # Resolution refuses a schedule past the bit cap before the screen runs
+    # Resolution refuses a schedule past the bit cap before Q is grown
     widest = Resolution(cfg.required_bits)
     structure = validate_structure(w, widest.size)
     if not structure.ok:
         raise PreconditionError(
             f"weight family {w.label} fails the structure screen: {structure}"
         )
+    w.Q_array(widest.size)  # grow the weight cache once, for the last row
     kap = kappa(w).kappa
     c_theory = _theory_constant(cfg, kap)
     measure_factor = 0.25 ** (1.0 / cfg.p)

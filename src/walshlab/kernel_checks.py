@@ -58,8 +58,9 @@ def kernel_lower_bound_check(w: WeightFamily, block_exp: int) -> KernelBoundRepo
     The kernel is a step function at rank 2a+1, so its minimum on the
     2a+1-bit grid is exact and a finer grid would only repeat it.
     Families failing the structure screen over the window's weights are
-    rejected; a nonpositive kappa makes the check pass vacuously (the
-    bound claims nothing).
+    rejected (for built-in families the screen reads only the head; see
+    validate_structure); a nonpositive kappa makes the check pass
+    vacuously (the bound claims nothing).
     """
     if block_exp < 1:
         raise PreconditionError(f"block exponent must be >= 1, got {block_exp}")

@@ -19,8 +19,11 @@ Built-in families:
     vlog[:q0]     q_j = 1/ln(j+1) for j >= 1, q_0 a free parameter
     custom        explicit finite sequence
 
-All of these except fejer are non-increasing and convex, which is what
-the kernel lower bound downstream needs.  The quantity
+The built-in families are non-increasing and convex (fejer's constant
+weights trivially, vlog for q_0 >= DEFAULT_VLOG_Q0), which is what the
+kernel lower bound downstream needs; ``validate_structure`` proves it
+past their first five weights and screens those, and custom sequences
+whole.  The quantity
 
     kappa = q_1 - (3/2) q_3
 
@@ -58,20 +61,11 @@ __all__ = [
 DEFAULT_VLOG_Q0 = 2.0 / math.log(2.0) - 1.0 / math.log(3.0)
 
 # Refuse to materialize weight prefixes past this horizon: the largest
-# grid admits means of order 2^N, and validate_structure(w, 2^N) reads
-# q_0..q_(2^N).
-MAX_WEIGHT_HORIZON = (1 << MAX_RESOLUTION_BITS) + 1
+# grid admits means of order 2^N, which read Q_0..Q_(2^N), the sums of
+# q_0..q_(2^N - 1).
+MAX_WEIGHT_HORIZON = 1 << MAX_RESOLUTION_BITS
 
 _STRUCTURE_TOL = 1e-12
-_SCREEN_CHUNK = 1 << 16
-
-
-def _prefix_sums(q: np.ndarray) -> np.ndarray:
-    # Q_0 = 0 and Q_1..Q_count, accumulated straight into one array
-    out = np.empty(q.size + 1)
-    out[0] = 0.0
-    np.cumsum(q, out=out[1:])
-    return out
 
 
 def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
@@ -79,7 +73,7 @@ def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
     # Built in place: out holds 1 and the factors (alpha + j)/j, then
     # their running products.
     out = np.empty(count)
-    out[0] = 1.0
+    out[:1] = 1.0
     j = np.arange(1, count, dtype=np.float64)
     factors = out[1:]
     np.add(j, alpha, out=factors)
@@ -91,15 +85,15 @@ def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
 class WeightFamily:
     """A Nörlund weight sequence with lazily grown, cached prefix sums."""
 
-    __slots__ = ("kind", "params", "_q", "_qsum")
+    __slots__ = ("kind", "params", "_qsum")
 
-    def __init__(self, kind: str, params: tuple, q_values: np.ndarray | None = None) -> None:
-        # Use the fejer()/logarithmic()/... constructors instead.  Built-in
-        # kinds start with the 4-term head their formula generates.
+    def __init__(self, kind: str, params: tuple) -> None:
+        # Use the fejer()/logarithmic()/... constructors instead.  A custom
+        # family is cached whole; built-in kinds start with a 4-term head.
         self.kind = kind
         self.params = params
-        self._q = self._generate(4) if q_values is None else q_values
-        self._qsum = _prefix_sums(self._q)
+        self._qsum = np.zeros(1)  # Q_0
+        self._ensure(len(params) if kind == "custom" else 4)
 
     # -- constructors ------------------------------------------------
 
@@ -145,11 +139,25 @@ class WeightFamily:
             raise ValueError("custom weights need at least one value")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("custom weights must be finite and nonnegative")
-        return cls("custom", tuple(float(v) for v in arr), arr)
+        return cls("custom", tuple(float(v) for v in arr))
 
     # -- cache plumbing ----------------------------------------------
 
     def _generate(self, count: int) -> np.ndarray:
+        """q_0..q_(count-1) as a fresh array; entry j does not depend on count."""
+        if self.kind == "custom":
+            if count > len(self.params):
+                raise DegreeError(
+                    f"custom weight family defines only {len(self.params)} weights, "
+                    f"{count} requested"
+                )
+            return np.array(self.params[:count])
+        if count > MAX_WEIGHT_HORIZON:
+            # a huge horizon is named by its length, not by all its digits
+            shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
+            raise ResourceCapError(
+                f"weight horizon {shown} exceeds cap {MAX_WEIGHT_HORIZON}"
+            )
         if self.kind == "fejer":
             return np.ones(count)
         if self.kind == "cesaro":
@@ -170,23 +178,17 @@ class WeightFamily:
         return out
 
     def _ensure(self, count: int) -> None:
-        """Grow the cache so q_0..q_(count-1) and Q_0..Q_count exist."""
-        if count <= self._q.size:
+        """Grow the cache so Q_0..Q_count exist."""
+        if count < self._qsum.size:
             return
-        if self.kind == "custom":
-            raise DegreeError(
-                f"custom weight family defines only {self._q.size} weights, "
-                f"{count} requested"
-            )
-        if count > MAX_WEIGHT_HORIZON:
-            # a huge horizon is named by its length, not by all its digits
-            shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
-            raise ResourceCapError(
-                f"weight horizon {shown} exceeds cap {MAX_WEIGHT_HORIZON}"
-            )
-        grown = min(max(count, 2 * self._q.size), MAX_WEIGHT_HORIZON)
-        self._q = self._generate(grown)
-        self._qsum = _prefix_sums(self._q)
+        if self.kind != "custom" and count <= MAX_WEIGHT_HORIZON:
+            # at least double, so rising orders regenerate the prefix rarely
+            count = min(max(count, 2 * (self._qsum.size - 1)), MAX_WEIGHT_HORIZON)
+        q = self._generate(count)  # raises past a custom family's end or the horizon
+        # Q_0 = 0 and Q_1..Q_count, accumulated straight into one array
+        self._qsum = np.empty(count + 1)
+        self._qsum[0] = 0.0
+        np.cumsum(q, out=self._qsum[1:])
 
     # -- access ------------------------------------------------------
 
@@ -194,28 +196,21 @@ class WeightFamily:
         """The weight q_j."""
         if j < 0:
             raise ValueError(f"weight index must be >= 0, got {j}")
-        self._ensure(j + 1)
-        return float(self._q[j])
+        return float(self._generate(j + 1)[j])
 
     def q_array(self, count: int) -> np.ndarray:
         """q_0..q_(count-1) as a fresh array."""
-        self._ensure(count)
-        return self._q[:count].copy()
+        return self._generate(count)
 
     def Q(self, n: int) -> float:
         """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0."""
-        if n < 0:
-            raise ValueError(f"prefix length must be >= 0, got {n}")
-        if n > 0:
-            self._ensure(n)
-        return float(self._qsum[n])
+        return float(self.Q_array(n)[n])
 
     def Q_array(self, n: int) -> np.ndarray:
         """Q_0..Q_n as a read-only view of the cached prefix sums (no copy)."""
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        if n > 0:
-            self._ensure(n)
+        self._ensure(n)
         view = self._qsum[: n + 1]
         view.flags.writeable = False
         return view
@@ -294,21 +289,35 @@ def validate_structure(w: WeightFamily, n_max: int) -> StructureReport:
 
     Checks, with 1e-12 slack: the prefix is non-increasing, convex
     (q_(n-1) + q_(n+1) >= 2 q_n), and convex across gaps of two
-    (q_(n-2) + q_(n+2) >= 2 q_n).
+    (q_(n-2) + q_(n+2) >= 2 q_n).  A custom family is finite and is
+    screened whole.  A built-in family needs only its head
+    q_0..q_min(n_max, 4), because every later window holds by proof:
+
+    log, cesaro:A and ualpha:A (0 < A < 1) are Hausdorff moment sequences.
+    1/(j+1) are the moments of dt on [0, 1], A_j^(A-1) those of
+    Beta(A, 1-A), and (j+1)^(A-1) = Gamma(1-A)^(-1) int_0^1 t^j (-ln t)^(-A) dt.
+    So they are completely monotone: (-1)^k Delta^k q_j >= 0 for all k and
+    j, where Delta q_j = q_(j+1) - q_j.  fejer is constant.  vlog's tail
+    1/ln(j+1), j >= 1, samples 1/ln(1+x), completely monotone as the
+    reciprocal of the Bernstein function ln(1+x), and by the mean value
+    theorem its differences have the signs of its derivatives.  k = 1, 2
+    are the first two screens at every j; the third follows from convexity,
+
+        q_(n-2) + q_(n+2) - 2 q_n = Delta^2 q_(n-2) + 2 Delta^2 q_(n-1) + Delta^2 q_n.
+
+    vlog's free q_0 enters only windows inside q_0..q_4.  The numbers are
+    screened against this over the whole weight horizon in the tests.
     """
     if n_max < 2:
         raise ValueError(f"structure check needs n_max >= 2, got {n_max}")
-    w._ensure(n_max + 1)
-    q = w._q[: n_max + 1]
-    non_inc = convex = gap2 = True
-    # chunks overlapping by 4 terms hold every window of 5 consecutive
-    # weights, so the screen reads the cached q with chunk-sized temporaries
-    for start in range(0, max(q.size - 4, 1), _SCREEN_CHUNK):
-        c = q[start : start + _SCREEN_CHUNK + 4]
-        non_inc = non_inc and bool(np.all(np.diff(c) <= _STRUCTURE_TOL))
-        convex = convex and bool(np.all(c[:-2] + c[2:] - 2.0 * c[1:-1] >= -_STRUCTURE_TOL))
-        gap2 = gap2 and bool(np.all(c[:-4] + c[4:] - 2.0 * c[2:-2] >= -_STRUCTURE_TOL))
-    return StructureReport(w.label, n_max, non_inc, convex, gap2)
+    q = w.q_array((n_max if w.kind == "custom" else min(n_max, 4)) + 1)
+    return StructureReport(
+        w.label,
+        n_max,
+        bool(np.all(np.diff(q) <= _STRUCTURE_TOL)),
+        bool(np.all(q[:-2] + q[2:] - 2.0 * q[1:-1] >= -_STRUCTURE_TOL)),
+        bool(np.all(q[:-4] + q[4:] - 2.0 * q[2:-2] >= -_STRUCTURE_TOL)),
+    )
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,23 @@ def test_lemma2_structure_violation_is_config_error(tmp_path, capsys):
     assert "structure screen" in err
 
 
+def test_lemma2_vlog_head_below_convexity_is_config_error(capsys):
+    # q_0 = 1.9 < DEFAULT_VLOG_Q0 makes (q_0, q_1, q_2) concave
+    code, out, err = run(capsys, "lemma2", "--family", "vlog:1.9", "--alphas", "1")
+    assert code == 2
+    assert out == ""
+    assert "structure screen" in err and "convex=False" in err
+
+
+def test_lemma2_huge_exponent_range_is_a_short_resource_cap(capsys):
+    # refused before the 10^8-element range is built
+    code, out, err = run(capsys, "lemma2", "--family", "log", "--alphas", "1..100000000")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ")
+    assert len(err) < 200, len(err)
+
+
 def test_lemma2_assertion_failure_exit_code(monkeypatch, capsys):
     # exit-code plumbing for a failed hard bound, via a stubbed report
     from walshlab.kernel_checks import KernelBoundReport
@@ -224,14 +241,25 @@ def test_diverge_overflowing_beta_exp_is_config_error(tmp_path, capsys):
 
 
 def test_diverge_oversized_schedule_is_a_short_resource_cap(tmp_path, capsys):
-    # the last block needs 3201 bits: refused before the structure screen
-    # grows Q to a horizon of 964 digits
+    # the last block needs 3201 bits: refused before Q is grown to a
+    # horizon of 964 digits
     cfg = tmp_path / "big.cfg"
     cfg.write_text("family = log\np = 0.1\nalphas = 3, 1600\n")
     code, out, err = run(capsys, "diverge", "--config", str(cfg))
     assert code == 4
     assert out == ""
     assert err.startswith("resource cap: ") and "3201 bits" in err
+    assert len(err) < 200, len(err)
+
+
+def test_diverge_huge_exponent_range_is_a_short_resource_cap(tmp_path, capsys):
+    # refused before the 10^11-element range is built
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = 1..100000000000\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ")
     assert len(err) < 200, len(err)
 
 

@@ -297,6 +297,23 @@ def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
     assert sizes == [r.size], sizes
 
 
+def test_experiment_grows_the_weight_cache_once(monkeypatch):
+    # one Q-sized generation for every row (the rest are the 5-term
+    # structure head and kappa's weights), and the rows are those of a
+    # cache grown further beforehand, bit for bit
+    cfg = CounterexampleConfig(p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 3, 5))
+    warm = WeightFamily.logarithmic()
+    warm.Q(1 << 13)
+    expect = divergence_experiment(replace(cfg, weights=warm)).rows
+    sizes = []
+    generate = WeightFamily._generate
+    monkeypatch.setattr(
+        WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+    )
+    assert divergence_experiment(cfg).rows == expect
+    assert [s for s in sizes if s > 5] == [1 << 11], sizes
+
+
 def test_monitor_rejects_zero_function():
     r = Resolution(3)
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from walshlab import (
     validate_structure,
 )
 from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
+from walshlab.weights import MAX_WEIGHT_HORIZON
 
 from oracles import norlund_mean_naive, partial_sum
 
@@ -153,8 +154,9 @@ def screen_oracle(q):
 
 @pytest.mark.parametrize("factor", [1.5, 0.5])
 def test_structure_screen_sees_defects_at_chunk_seams(factor):
-    # the screen reads the prefix in overlapping chunks of 2^16 terms; a
-    # defect on or next to a seam must be seen as by a whole-array screen
+    # a custom prefix is screened whole: a defect anywhere in a long one,
+    # at the ends or on and next to multiples of 2^16, is seen as by the
+    # whole-array oracle
     base = 1.0 / np.arange(1.0, 140_002.0)
     for pos in (65532, 65534, 65535, 65536, 65537, 65539, 65540, 131071, 131072,
                 131075, 139_999, 140_000):
@@ -166,16 +168,59 @@ def test_structure_screen_sees_defects_at_chunk_seams(factor):
         assert not all(expect), (pos, factor)
 
 
+# every built-in family whose structure validate_structure proves, with the
+# orders at both ends of (0, 1)
+PROVED_FAMILIES = [
+    "fejer",
+    "log",
+    "vlog",
+    *(f"cesaro:{a}" for a in (0.05, 0.25, 0.5, 0.95)),
+    *(f"ualpha:{a}" for a in (0.05, 0.3, 0.9)),
+]
+
+
+@pytest.mark.parametrize("label", PROVED_FAMILIES)
+def test_structure_proof_holds_over_the_whole_horizon(label):
+    # the numbers behind validate_structure's proof: every window of the
+    # generated weights up to the horizon, screened by the oracle in
+    # chunks overlapping by 4 terms so the temporaries stay small
+    q = parse_family(label).q_array(MAX_WEIGHT_HORIZON)
+    chunk = 1 << 20
+    for start in range(0, q.size - 4, chunk):
+        assert screen_oracle(q[start : start + chunk + 4]) == (True, True, True), (
+            label, start)
+
+
+@pytest.mark.parametrize(
+    "q0, expect",
+    [
+        (DEFAULT_VLOG_Q0, (True, True, True)),
+        (1.9, (True, False, True)),
+        (1.3, (False, False, True)),
+        (1.0, (False, False, False)),
+    ],
+)
+def test_structure_screen_reads_the_vlog_head(q0, expect):
+    # q_0 below the default breaks convexity at (q_0, q_1, q_2), below
+    # q_1 = 1/ln 2 monotonicity, and below 2/ln 3 - 1/ln 5 the gap-2 window
+    # (q_0, q_2, q_4); the head screen is what guards vlog
+    w = WeightFamily.vlog(q0)
+    for n_max in (4, 1 << 20):
+        rep = validate_structure(w, n_max)
+        assert (rep.non_increasing, rep.convex, rep.second_gap) == expect, (q0, n_max)
+        assert rep.ok == all(expect)
+    assert screen_oracle(w.q_array(64)) == expect
+
+
 # --- kappa ------------------------------------------------------------------
 
 
 def test_weight_horizon_admits_the_largest_grid():
-    # the 24-bit grid needs means of order 2^24 and the structure screen
-    # reads one weight past its horizon; fresh families so the large
-    # caches die with the test
+    # the 24-bit grid needs means of order 2^24, which read Q_0..Q_(2^24);
+    # fresh families so the large caches die with the test
     assert WeightFamily.fejer().Q(1 << 24) == float(1 << 24)
     with pytest.raises(ResourceCapError):
-        WeightFamily.fejer().Q((1 << 24) + 2)
+        WeightFamily.fejer().Q((1 << 24) + 1)
     assert validate_structure(WeightFamily.logarithmic(), 1 << 23).ok
 
 
