@@ -412,6 +412,8 @@ def _cmd_lemma2(args: argparse.Namespace) -> _Table:
     exponents = _parse_alphas(args.alphas)
     if any(a < 1 for a in exponents):
         raise ConfigError(f"block exponents must be >= 1, got {exponents}")
+    # grow the weight cache once, for the widest row the resolution cap admits
+    w.Q_array(1 << (2 * min(max(exponents), (MAX_RESOLUTION_BITS - 1) // 2)))
     rows = []
     for a in exponents:
         rep = kernel_lower_bound_check(w, a)

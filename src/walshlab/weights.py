@@ -83,7 +83,11 @@ def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
 
 
 class WeightFamily:
-    """A Nörlund weight sequence with lazily grown, cached prefix sums."""
+    """A Nörlund weight sequence with lazily grown, cached prefix sums.
+
+    ``params`` is a built-in kind's tuple of parameters, or a custom
+    family's weights as one read-only float64 array.
+    """
 
     __slots__ = ("kind", "params", "_qsum")
 
@@ -139,7 +143,8 @@ class WeightFamily:
             raise ValueError("custom weights need at least one value")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise ValueError("custom weights must be finite and nonnegative")
-        return cls("custom", tuple(float(v) for v in arr))
+        arr.setflags(write=False)
+        return cls("custom", arr)
 
     # -- cache plumbing ----------------------------------------------
 
@@ -151,7 +156,7 @@ class WeightFamily:
                     f"custom weight family defines only {len(self.params)} weights, "
                     f"{count} requested"
                 )
-            return np.array(self.params[:count])
+            return self.params[:count].copy()
         if count > MAX_WEIGHT_HORIZON:
             # a huge horizon is named by its length, not by all its digits
             shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
@@ -230,11 +235,12 @@ class WeightFamily:
         return (
             isinstance(other, WeightFamily)
             and self.kind == other.kind
-            and self.params == other.params
+            and bool(np.array_equal(self.params, other.params))
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.params))
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.kind, (np.asarray(self.params, dtype=np.float64) + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"WeightFamily({self.label!r})"

@@ -163,6 +163,28 @@ def test_lemma2_huge_exponent_range_is_a_short_resource_cap(capsys):
     assert len(err) < 200, len(err)
 
 
+def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
+    # one Q-sized generation for every row (the rest are the 4-term
+    # initial head, the 5-term structure head and kappa's weights)
+    sizes = []
+    generate = walshlab.WeightFamily._generate
+    monkeypatch.setattr(
+        walshlab.WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+    )
+    code, _, err = run(capsys, "lemma2", "--family", "log", "--alphas", "1..5")
+    assert code == 0, err
+    assert [s for s in sizes if s > 5] == [1 << 10], sizes
+
+
+def test_lemma2_too_few_custom_weights_is_config_error(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("".join(f"{1 / j!r}\n" for j in range(1, 21)))
+    code, out, err = run(capsys, "lemma2", "--family", f"custom:{path}", "--alphas", "1..3")
+    assert code == 2
+    assert out == ""
+    assert "defines only 20 weights" in err
+
+
 def test_lemma2_assertion_failure_exit_code(monkeypatch, capsys):
     # exit-code plumbing for a failed hard bound, via a stubbed report
     from walshlab.kernel_checks import KernelBoundReport

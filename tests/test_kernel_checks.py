@@ -14,10 +14,12 @@ from walshlab import (
     kernel_lower_bound_check,
     kernel_sum,
     lp_quasinorm,
+    parse_family,
     quarter_cell_min,
     walsh_function,
 )
 from walshlab.errors import DegreeError, PreconditionError, WalshLabError
+from walshlab.kernel_checks import _quarter_cell_coset
 
 
 def test_log_block_one_minimum_is_exactly_quarter():
@@ -80,6 +82,33 @@ def test_block_kernel_is_the_windowed_kernel_sum():
         r = Resolution(2 * a + 2)
         window = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), r).values
         assert np.array_equal(block_kernel(w, a, r).values, window)
+
+
+def convex_custom(count: int) -> WeightFamily:
+    # q_j = 1/(j+2) + 2^-j: non-increasing and convex, and not a built-in
+    j = np.arange(float(count))
+    return WeightFamily.custom(1.0 / (j + 2.0) + 0.5**j)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "log", "vlog", "vlog:5", "cesaro:0.25", "cesaro:0.8",
+        "ualpha:0.3", "ualpha:0.9", "fejer", "custom",
+    ],
+)
+def test_quarter_cell_coset_is_the_window_bit_for_bit(label):
+    # on the quarter cell the window is F_A where x_(2a) = 0 and -F_A
+    # where it is 1, and the check reads F_A's coset on 2a - 2 bits; the
+    # structure screen at a = 9 reads q_0..q_(2^18 + 2)
+    w = convex_custom((1 << 18) + 3) if label == "custom" else parse_family(label)
+    for a in range(1, 10):
+        window = block_kernel(w, a, Resolution(2 * a + 1))
+        assert kernel_lower_bound_check(w, a).min_abs_kernel == quarter_cell_min(window), a
+        lanes = window.values[3::4]
+        coset = _quarter_cell_coset(w, a)
+        assert np.array_equal(coset, lanes[: coset.size]), a
+        assert np.array_equal(-coset, lanes[coset.size :]), a
 
 
 def telescoped_gap_sum(w: WeightFamily, a: int) -> tuple[float, float]:

@@ -4,8 +4,9 @@ numpy reports its array buffers to tracemalloc, so the traced peak of a
 call is the extra memory it holds at once.  Sizes are in arrays of the
 grid's length; the weight cache is warmed before each measurement, so
 growing it is not counted, and is itself bounded to the one array of
-prefix sums it keeps.  The CLI's table encoder is bounded in MiB,
-since it holds one chunk of rows as text whatever the table's length.
+prefix sums it keeps (a custom family keeps its weights beside it).
+The CLI's table encoder is bounded in MiB, since it holds one chunk of
+rows as text whatever the table's length.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from walshlab import (
     WeightFamily,
     fwht_forward,
     fwht_inverse,
+    kernel_lower_bound_check,
     lp_quasinorm,
     norlund_mean_multiplier,
     validate_structure,
@@ -83,6 +85,31 @@ def test_weight_cache_holds_only_the_prefix_sums():
         tracemalloc.stop()
     array_bytes = 8 * (n + 1)
     assert array_bytes <= held < 1.5 * array_bytes, held / array_bytes
+
+
+def test_custom_family_holds_its_weights_as_one_array():
+    # the weights once, as float64, beside the Q cache: about 16 bytes a
+    # weight, where Python floats would cost 32 more
+    values = 1.0 / np.arange(1.0, 140_002.0)
+    tracemalloc.start()
+    try:
+        w = WeightFamily.custom(values)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert w.Q(values.size) > 0.0
+    assert held < 2.5 * 8 * values.size, held / (8 * values.size)
+
+
+def test_kernel_check_holds_under_one_kernel_array():
+    # the quarter-cell minimum reads F_A on its 2^(2a-2)-cell coset, not
+    # the 2^(2a+1)-cell window
+    a = 8
+    w = WeightFamily.logarithmic()
+    w.Q_array(2 << (2 * a))
+    peak = traced_peak(lambda: kernel_lower_bound_check(w, a))
+    array_bytes = 8 << (2 * a)
+    assert peak < array_bytes, peak / array_bytes
 
 
 def test_structure_screen_reads_the_cache_in_place():

@@ -94,6 +94,33 @@ def test_custom_family_and_validation():
         WeightFamily.custom([])
 
 
+def test_custom_families_compare_and_hash_by_value():
+    values = [1.0, 0.5, 0.0]
+    w = WeightFamily.custom(values)
+    same = [
+        WeightFamily.custom(np.array(values)),
+        WeightFamily.custom((1, 0.5, 0)),
+        WeightFamily.custom([1.0, 0.5, -0.0]),  # -0.0 == 0.0
+    ]
+    for other in same:
+        assert other == w and hash(other) == hash(w)
+    assert len({w, *same}) == 1
+    for other in (WeightFamily.custom([1.0, 0.5]), WeightFamily.custom([1.0, 0.5, 0.25])):
+        assert other != w
+    assert w != WeightFamily.logarithmic() and w.label == "custom"
+
+
+def test_custom_family_keeps_its_own_weights():
+    # the family copies the values it is given, and hands out fresh copies
+    values = np.array([3.0, 2.0, 1.0])
+    w = WeightFamily.custom(values)
+    values[0] = 9.0
+    q = w.q_array(3)
+    q[1] = 9.0
+    assert np.array_equal(w.q_array(3), [3.0, 2.0, 1.0])
+    assert w.Q(3) == 6.0
+
+
 def test_degenerate_normalizer_rejected():
     w = WeightFamily.custom([0.0, 0.0, 1.0])
     with pytest.raises(DegenerateWeightsError):
