@@ -14,10 +14,9 @@ import numpy as np
 from walshlab import (
     Resolution,
     WeightFamily,
+    block_kernel,
     dirichlet_kernel,
-    kernel_sum,
     lp_quasinorm,
-    norlund_multipliers,
 )
 
 
@@ -47,7 +46,7 @@ def main() -> None:
     print("\nmean multipliers Q_(n-j)/Q_n at n = 8 (how each family damps")
     print("the top of the spectrum):")
     for w in families:
-        m = norlund_multipliers(w, 8)
+        m = w.Q_array(8)[8:0:-1] / w.Q(8)
         print(f"  {w.label:<12}: {np.round(m, 4).tolist()}")
 
     a = 2
@@ -56,7 +55,7 @@ def main() -> None:
     print(f"\nweighted kernel sums over the block j = {lo}..{hi} at order {hi},")
     print("restricted to the quarter cell (indices 3 mod 4):")
     for w in families:
-        ks = kernel_sum(w, lo, hi, r_block)
+        ks = block_kernel(w, a, r_block)
         quarter = ks.values[3::4]
         print(
             f"  {w.label:<12}: min |K| on quarter = {np.abs(quarter).min():.6f}, "

@@ -18,7 +18,8 @@ from walshlab import (
     Resolution,
     WeightFamily,
     bounded_case_monitor,
-    build_martingale,
+    fwht_inverse,
+    martingale_spectrum,
 )
 
 
@@ -42,7 +43,7 @@ def main() -> None:
     cfg = CounterexampleConfig(
         p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 2, 3),
     )
-    f = build_martingale(cfg)
+    f = fwht_inverse(martingale_spectrum(cfg, Resolution(cfg.required_bits)))
     for label, w in [("fejer", fejer), ("log", cfg.weights)]:
         pairs = bounded_case_monitor(f, w, cfg.p)
         tail = " ".join(f"{v:.3f}" for _, v in pairs[-4:])

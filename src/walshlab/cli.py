@@ -206,7 +206,11 @@ def serialize_config(mapping: dict[str, str]) -> str:
 
 
 def _parse_alphas(text: str) -> tuple[int, ...]:
-    """Accept '1,2,3', '1 2 3', or a range '1..5'."""
+    """Accept '1,2,3', '1 2 3', or a range '1..5'.
+
+    The largest exponent a is checked against the grid cap, which its
+    2a+1-bit row must fit under, before any row runs and before a range
+    is built."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
@@ -216,20 +220,22 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
             raise ConfigError(f"bad exponent range {text!r}") from None
         if hi < lo:
             raise ConfigError(f"empty exponent range {text!r}")
-        if 2 * hi + 1 > MAX_RESOLUTION_BITS:
-            # refused before the range is built: exponent a needs 2a+1 bits
-            raise ResourceCapError(
-                f"block exponents above {(MAX_RESOLUTION_BITS - 1) // 2} need more "
-                f"than the {MAX_RESOLUTION_BITS}-bit grid cap"
-            )
-        return tuple(range(lo, hi + 1))
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ConfigError("empty exponent list")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"bad exponent list {text!r}") from None
+        exponents = range(lo, hi + 1)
+    else:
+        parts = text.replace(",", " ").split()
+        if not parts:
+            raise ConfigError("empty exponent list")
+        try:
+            exponents = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"bad exponent list {text!r}") from None
+        hi = max(exponents)
+    if 2 * hi + 1 > MAX_RESOLUTION_BITS:
+        raise ResourceCapError(
+            f"block exponent {hi} needs {2 * hi + 1} bits, more than the "
+            f"{MAX_RESOLUTION_BITS}-bit grid cap"
+        )
+    return tuple(exponents)
 
 
 def _get_float(mapping: dict[str, str], key: str, default: float | None = None) -> float:
@@ -412,8 +418,8 @@ def _cmd_lemma2(args: argparse.Namespace) -> _Table:
     exponents = _parse_alphas(args.alphas)
     if any(a < 1 for a in exponents):
         raise ConfigError(f"block exponents must be >= 1, got {exponents}")
-    # grow the weight cache once, for the widest row the resolution cap admits
-    w.Q_array(1 << (2 * min(max(exponents), (MAX_RESOLUTION_BITS - 1) // 2)))
+    # grow the weight cache once, for the widest row
+    w.Q_array(1 << (2 * max(exponents)))
     rows = []
     for a in exponents:
         rep = kernel_lower_bound_check(w, a)

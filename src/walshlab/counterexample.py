@@ -7,7 +7,8 @@ the scaled kernel difference
 
 a mean-zero function supported on the rank-2a_k cell at 0, and the test
 martingale is f = sum_k a_k^(-1/2) * atom_k.  Its spectrum is constant on
-the dyadic blocks [2^(2a_k), 2^(2a_k+1)) and vanishes elsewhere.  For
+the dyadic blocks [2^(2a_k), 2^(2a_k+1)) and vanishes elsewhere;
+``martingale_spectrum`` writes it, and ``fwht_inverse`` of that is f.  For
 weight families whose kernel floor constant kappa = q_1 - (3/2) q_3 is
 positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicFunction, Resolution, quarter_cell_min
-from .errors import PreconditionError
+from .errors import DegreeError, PreconditionError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
-from .transform import WalshSpectrum, dirichlet_kernel, fwht_forward
+from .transform import WalshSpectrum, fwht_forward
 from .weights import (
     WeightFamily,
     kappa,
@@ -37,8 +38,6 @@ __all__ = [
     "CounterexampleConfig",
     "DivergenceRow",
     "DivergenceReport",
-    "atom_block",
-    "build_martingale",
     "martingale_spectrum",
     "guaranteed_floor",
     "divergence_experiment",
@@ -148,33 +147,14 @@ class CounterexampleConfig:
         return 1.0 / math.sqrt(self.alphas[k])
 
 
-def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> DyadicFunction:
-    """Block k of the construction at the given resolution."""
-    a = cfg.alphas[k]
-    if 2 * a + 1 > resolution.bits:
-        raise ValueError(
-            f"block exponent {a} needs at least {2 * a + 1} bits, "
-            f"resolution has {resolution.bits}"
-        )
-    hi = dirichlet_kernel(1 << (2 * a + 1), resolution)
-    lo = dirichlet_kernel(1 << (2 * a), resolution)
-    return DyadicFunction.adopt(resolution, cfg.block_height(k) * (hi.values - lo.values))
-
-
-def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
-    """The full test martingale, at the smallest resolution holding it."""
-    resolution = Resolution(cfg.required_bits)
-    total = np.zeros(resolution.size)
-    for k in range(cfg.K):
-        total += cfg.block_weight(k) * atom_block(k, cfg, resolution).values
-    return DyadicFunction.adopt(resolution, total)
-
-
 def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> WalshSpectrum:
     """Closed-form spectrum: block k carries the constant coefficient
     2^(2 a_k (1/p - 1)) / sqrt(a_k) on indices [2^(2a_k), 2^(2a_k+1))."""
     if cfg.required_bits > resolution.bits:
-        raise ValueError("resolution too coarse for the last block")
+        raise DegreeError(
+            f"block exponent {cfg.alphas[-1]} needs at least {cfg.required_bits} bits, "
+            f"resolution has {resolution.bits}"
+        )
     coeffs = np.zeros(resolution.size)
     for k, a in enumerate(cfg.alphas):
         coeffs[1 << (2 * a) : 1 << (2 * a + 1)] = cfg.block_height(k) * cfg.block_weight(k)

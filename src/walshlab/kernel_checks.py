@@ -5,7 +5,8 @@ windowed kernel sum_{j=2^(2a)}^{2^(2a+1)} q_(2^(2a+1)-j) D_j has
 absolute value at least kappa = q_1 - (3/2) q_3 everywhere on the
 quarter cell (both leading coordinates 1).  ``block_kernel`` evaluates
 that kernel on the whole grid, and ``kernel_lower_bound_check`` verifies
-the bound at every cell of the quarter cell.
+the bound at every cell of the quarter cell.  This module is the one
+place that lays out the window's Walsh coefficients.
 
 The check needs only a quarter of the kernel.  Let A = 2^(2a).  The
 window kernel's Walsh coefficients are Q_(A+1) below A and
@@ -40,7 +41,7 @@ import numpy as np
 from .dyadic import DyadicFunction, Resolution
 from .errors import DegreeError, PreconditionError
 from .transform import synthesize_in_place
-from .weights import WeightFamily, kappa, kernel_sum, validate_structure
+from .weights import WeightFamily, kappa, validate_structure
 
 __all__ = [
     "KernelBoundReport",
@@ -67,20 +68,31 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
     """The windowed kernel sum_{j=2^(2a)}^{2^(2a+1)} q_(2^(2a+1)-j) D_j.
 
     It needs at least 2a+1 bits, the coarsest grid on which every
-    character in the window is resolved.
+    character in the window is resolved.  With A = 2^(2a), one inverse
+    transform synthesizes its Walsh coefficients: Q_(A+1) below A, and
+    e_i = Q_(A-i) at A + i.
     """
     if a < 0:
         raise PreconditionError(f"block exponent must be >= 0, got {a}")
     if resolution.bits < 2 * a + 1:
         raise DegreeError(f"block exponent {a} needs at least {2 * a + 1} bits")
-    return kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), resolution)
+    A = 1 << (2 * a)
+    coeffs = np.zeros(resolution.size)
+    coeffs[:A] = w.Q(A + 1)
+    coeffs[A : 2 * A] = _window_tail(w, A)
+    return synthesize_in_place(resolution, coeffs)
+
+
+def _window_tail(w: WeightFamily, A: int) -> np.ndarray:
+    # e_0..e_(A-1), e_i = Q_(A-i): the window's coefficients at A..2A-1
+    return w.Q_array(A)[A:0:-1]
 
 
 def _quarter_cell_coset(w: WeightFamily, a: int) -> np.ndarray:
     # F_A on the cells x = 3 mod 4 of its 2a-bit grid, in the order of
     # x >> 2: the lane-3 coefficients d, synthesized on 2a - 2 bits
-    A = 1 << (2 * a)
-    lanes = w.Q_array(A)[A:0:-1].reshape(-1, 4)  # row m holds e_(4m)..e_(4m+3)
+    # row m holds e_(4m)..e_(4m+3)
+    lanes = _window_tail(w, 1 << (2 * a)).reshape(-1, 4)
     d = np.subtract(lanes[:, 0], lanes[:, 1])
     d -= np.subtract(lanes[:, 2], lanes[:, 3])
     if a == 1:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
+from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction
 from .errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from .transform import WalshSpectrum, synthesize_in_place
 
@@ -52,9 +52,7 @@ __all__ = [
     "kappa",
     "cesaro_kappa_threshold",
     "ualpha_kappa_threshold",
-    "norlund_multipliers",
     "norlund_mean_multiplier",
-    "kernel_sum",
 ]
 
 # Smallest q_0 keeping (q_0, q_1, q_2) convex: 2/ln2 - 1/ln3.
@@ -356,21 +354,6 @@ def ualpha_kappa_threshold() -> float:
     return 2.0 - math.log2(3.0)
 
 
-def _checked_Q(w: WeightFamily, n: int) -> float:
-    Qn = w.Q(n)
-    if Qn <= 0.0:
-        raise DegenerateWeightsError(f"Q_{n} = {Qn} for family {w.label}")
-    return Qn
-
-
-def norlund_multipliers(w: WeightFamily, n: int) -> np.ndarray:
-    """The spectral multipliers Q_(n-j)/Q_n for j = 0..n-1."""
-    if n < 1:
-        raise ValueError(f"mean order must be >= 1, got {n}")
-    Qn = _checked_Q(w, n)
-    return w.Q_array(n)[1:][::-1] / Qn
-
-
 def norlund_mean_multiplier(
     spectrum: WalshSpectrum, n: int, w: WeightFamily
 ) -> DyadicFunction:
@@ -379,27 +362,11 @@ def norlund_mean_multiplier(
     size = spectrum.resolution.size
     if not 1 <= n <= size:
         raise DegreeError(f"mean order {n} out of range (1..{size})")
-    Qn = _checked_Q(w, n)
+    Qn = w.Q(n)
+    if Qn <= 0.0:
+        raise DegenerateWeightsError(f"Q_{n} = {Qn} for family {w.label}")
     coeffs = np.zeros(size)
     head = coeffs[:n]
     np.divide(w.Q_array(n)[n:0:-1], Qn, out=head)
     head *= spectrum.coefficients[:n]
     return synthesize_in_place(spectrum.resolution, coeffs)
-
-
-def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> DyadicFunction:
-    """The windowed kernel sum_{j=a}^{b} q_(b-j) D_j, evaluated exactly.
-
-    Collecting the Walsh coefficient of each character gives the
-    synthesis form sum_{m<b} Q_(b - max(a, m+1) + 1) w_m, which one
-    inverse transform evaluates on the whole grid.
-    """
-    size = resolution.size
-    if not 1 <= a <= b <= size:
-        raise DegreeError(f"kernel window [{a}, {b}] out of range (1..{size})")
-    Q = w.Q_array(b - a + 1)
-    coeffs = np.zeros(size)
-    coeffs[:a] = Q[b - a + 1]
-    if b > a:
-        coeffs[a:b] = Q[1 : b - a + 1][::-1]
-    return synthesize_in_place(resolution, coeffs)

@@ -2,7 +2,11 @@
 
 Each follows its definition term by term, in O(n 2^N) work, and is not
 part of the package: production code has one evaluation path per
-quantity.  emit_text is the CLI's table encoder written cell by cell.
+quantity.  kernel_sum lays out any kernel window's coefficients, where
+the package's block_kernel writes only the block window's;
+atom_block and build_martingale sum the martingale from Dirichlet
+kernels, where the package synthesizes its closed-form spectrum.
+emit_text is the CLI's table encoder written cell by cell.
 """
 
 import csv
@@ -11,7 +15,17 @@ import json
 
 import numpy as np
 
-from walshlab import DyadicFunction, WalshSpectrum, fwht_forward, fwht_inverse
+from walshlab import (
+    CounterexampleConfig,
+    DyadicFunction,
+    Resolution,
+    WalshSpectrum,
+    WeightFamily,
+    dirichlet_kernel,
+    fwht_forward,
+    fwht_inverse,
+    synthesize_in_place,
+)
 from walshlab.errors import DegreeError
 
 
@@ -58,6 +72,46 @@ def norlund_mean_naive(f: DyadicFunction, n: int, w) -> DyadicFunction:
         running = running + coeff[k - 1] * sign_table(k - 1, size)
         acc = acc + w.q(n - k) * running
     return DyadicFunction(f.resolution, acc / w.Q(n))
+
+
+def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> DyadicFunction:
+    """The windowed kernel sum_{j=a}^{b} q_(b-j) D_j, evaluated exactly.
+
+    Collecting the Walsh coefficient of each character gives the
+    synthesis form sum_{m<b} Q_(b - max(a, m+1) + 1) w_m, which one
+    inverse transform evaluates on the whole grid.
+    """
+    size = resolution.size
+    if not 1 <= a <= b <= size:
+        raise DegreeError(f"kernel window [{a}, {b}] out of range (1..{size})")
+    Q = w.Q_array(b - a + 1)
+    coeffs = np.zeros(size)
+    coeffs[:a] = Q[b - a + 1]
+    if b > a:
+        coeffs[a:b] = Q[1 : b - a + 1][::-1]
+    return synthesize_in_place(resolution, coeffs)
+
+
+def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> DyadicFunction:
+    """Block k of the construction at the given resolution."""
+    a = cfg.alphas[k]
+    if 2 * a + 1 > resolution.bits:
+        raise ValueError(
+            f"block exponent {a} needs at least {2 * a + 1} bits, "
+            f"resolution has {resolution.bits}"
+        )
+    hi = dirichlet_kernel(1 << (2 * a + 1), resolution)
+    lo = dirichlet_kernel(1 << (2 * a), resolution)
+    return DyadicFunction.adopt(resolution, cfg.block_height(k) * (hi.values - lo.values))
+
+
+def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
+    """The full test martingale, at the smallest resolution holding it."""
+    resolution = Resolution(cfg.required_bits)
+    total = np.zeros(resolution.size)
+    for k in range(cfg.K):
+        total += cfg.block_weight(k) * atom_block(k, cfg, resolution).values
+    return DyadicFunction.adopt(resolution, total)
 
 
 def _float_text(v, full: bool) -> str:

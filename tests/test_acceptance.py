@@ -17,7 +17,6 @@ from walshlab import (
     Resolution,
     WeightFamily,
     bounded_case_monitor,
-    build_martingale,
     cesaro_kappa_threshold,
     dirichlet_kernel,
     divergence_experiment,
@@ -32,6 +31,8 @@ from walshlab import (
     weak_lp,
 )
 from walshlab.cli import _experiment_config, parse_config_text
+
+from oracles import build_martingale
 
 REPRO = Path(__file__).resolve().parent.parent / "reproduce"
 

@@ -14,7 +14,7 @@ import walshlab
 import walshlab.cli as cli
 from walshlab.cli import main, parse_config_text, serialize_config
 
-REPRO = "reproduce"
+REPRO = Path(__file__).resolve().parent.parent / "reproduce"
 
 
 def run(capsys, *argv):
@@ -163,6 +163,22 @@ def test_lemma2_huge_exponent_range_is_a_short_resource_cap(capsys):
     assert len(err) < 200, len(err)
 
 
+@pytest.mark.parametrize("alphas, top", [("11,12", 12), ("3,13", 13)])
+def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, top):
+    # the largest exponent of a list is checked before any row runs, as a
+    # range's is
+    ran = []
+    monkeypatch.setattr(cli, "kernel_lower_bound_check", lambda w, a: ran.append(a))
+    code, out, err = run(capsys, "lemma2", "--family", "log", "--alphas", alphas)
+    assert code == 4
+    assert out == ""
+    assert ran == []
+    assert err == (
+        f"resource cap: block exponent {top} needs {2 * top + 1} bits, "
+        "more than the 24-bit grid cap\n"
+    )
+
+
 def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     # one Q-sized generation for every row (the rest are the 4-term
     # initial head, the 5-term structure head and kappa's weights)
@@ -272,6 +288,18 @@ def test_diverge_oversized_schedule_is_a_short_resource_cap(tmp_path, capsys):
     assert out == ""
     assert err.startswith("resource cap: ") and "3201 bits" in err
     assert len(err) < 200, len(err)
+
+
+def test_diverge_over_cap_exponent_list_runs_no_row(tmp_path, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "divergence_experiment", ran.append)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = 3, 12\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 4
+    assert out == ""
+    assert ran == []
+    assert err.startswith("resource cap: block exponent 12 needs 25 bits")
 
 
 def test_diverge_huge_exponent_range_is_a_short_resource_cap(tmp_path, capsys):

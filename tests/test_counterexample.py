@@ -17,9 +17,7 @@ from walshlab import (
     DyadicFunction,
     Resolution,
     WeightFamily,
-    atom_block,
     bounded_case_monitor,
-    build_martingale,
     divergence_experiment,
     fwht_forward,
     guaranteed_floor,
@@ -31,9 +29,9 @@ from walshlab import (
     parse_family,
     weak_lp,
 )
-from walshlab.errors import PreconditionError
+from walshlab.errors import DegreeError, PreconditionError
 
-from oracles import norlund_mean_naive
+from oracles import atom_block, build_martingale, norlund_mean_naive
 
 LOG = WeightFamily.logarithmic()
 
@@ -108,6 +106,12 @@ def test_spectrum_closed_form_matches_transform():
     got = fwht_forward(f).coefficients
     expect = martingale_spectrum(cfg, f.resolution).coefficients
     assert np.abs(got - expect).max() < 1e-12
+
+
+def test_spectrum_too_coarse_is_a_degree_error():
+    cfg = log_cfg(alphas=(1, 3))
+    with pytest.raises(DegreeError, match="block exponent 3 needs at least 7 bits"):
+        martingale_spectrum(cfg, Resolution(6))
 
 
 def test_spectrum_is_constant_on_blocks_zero_off():

@@ -12,7 +12,6 @@ from walshlab import (
     dirichlet_kernel,
     kappa,
     kernel_lower_bound_check,
-    kernel_sum,
     lp_quasinorm,
     parse_family,
     quarter_cell_min,
@@ -20,6 +19,8 @@ from walshlab import (
 )
 from walshlab.errors import DegreeError, PreconditionError, WalshLabError
 from walshlab.kernel_checks import _quarter_cell_coset
+
+from oracles import kernel_sum
 
 
 def test_log_block_one_minimum_is_exactly_quarter():
@@ -76,27 +77,32 @@ def test_bad_block_exponent():
         block_kernel(WeightFamily.logarithmic(), -1, Resolution(6))
 
 
-def test_block_kernel_is_the_windowed_kernel_sum():
-    w = WeightFamily.cesaro(0.5)
-    for a in (0, 1, 2):
-        r = Resolution(2 * a + 2)
-        window = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), r).values
-        assert np.array_equal(block_kernel(w, a, r).values, window)
-
-
 def convex_custom(count: int) -> WeightFamily:
     # q_j = 1/(j+2) + 2^-j: non-increasing and convex, and not a built-in
     j = np.arange(float(count))
     return WeightFamily.custom(1.0 / (j + 2.0) + 0.5**j)
 
 
-@pytest.mark.parametrize(
-    "label",
-    [
-        "log", "vlog", "vlog:5", "cesaro:0.25", "cesaro:0.8",
-        "ualpha:0.3", "ualpha:0.9", "fejer", "custom",
-    ],
-)
+FAMILY_LABELS = [
+    "log", "vlog", "vlog:5", "cesaro:0.25", "cesaro:0.8",
+    "ualpha:0.3", "ualpha:0.9", "fejer", "custom",
+]
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_block_kernel_is_the_windowed_kernel_sum(label):
+    # block_kernel lays out the block window's coefficients itself; the
+    # oracle lays out any window [a, b] term by term from its definition.
+    # The window at a = 6 reads Q_0..Q_(2^12 + 1)
+    w = convex_custom((1 << 12) + 1) if label == "custom" else parse_family(label)
+    for a in range(7):
+        for bits in (2 * a + 1, 2 * a + 2, 2 * a + 3):
+            r = Resolution(bits)
+            window = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), r).values
+            assert np.array_equal(block_kernel(w, a, r).values, window), (a, bits)
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_quarter_cell_coset_is_the_window_bit_for_bit(label):
     # on the quarter cell the window is F_A where x_(2a) = 0 and -F_A
     # where it is 1, and the check reads F_A's coset on 2a - 2 bits; the

@@ -174,7 +174,8 @@ def test_hardy_norm_of_single_block_is_its_weight():
     # plateau of height lam * 2^(2a) * h on the rank-2a cell at 0, so the
     # divergence experiment's closed-form Hardy column a_k^(-1/2) must match
     # the measured Hardy size of every row's newest block
-    from walshlab import atom_block, divergence_experiment
+    from oracles import atom_block
+    from walshlab import divergence_experiment
     from walshlab.cli import _experiment_config, parse_config_text
 
     for path in sorted(REPRO.glob("*.cfg")):

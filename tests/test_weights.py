@@ -15,14 +15,13 @@ from walshlab import (
     DEFAULT_VLOG_Q0,
     DyadicFunction,
     Resolution,
+    WalshSpectrum,
     WeightFamily,
     cesaro_kappa_threshold,
     dirichlet_kernel,
     fwht_forward,
     kappa,
-    kernel_sum,
     norlund_mean_multiplier,
-    norlund_multipliers,
     parse_family,
     ualpha_kappa_threshold,
     validate_structure,
@@ -30,7 +29,7 @@ from walshlab import (
 from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from walshlab.weights import MAX_WEIGHT_HORIZON
 
-from oracles import norlund_mean_naive, partial_sum
+from oracles import kernel_sum, norlund_mean_naive, partial_sum
 
 
 ALL_FAMILIES = [
@@ -123,8 +122,9 @@ def test_custom_family_keeps_its_own_weights():
 
 def test_degenerate_normalizer_rejected():
     w = WeightFamily.custom([0.0, 0.0, 1.0])
+    spectrum = fwht_forward(DyadicFunction.constant(1.0, Resolution(2)))
     with pytest.raises(DegenerateWeightsError):
-        norlund_multipliers(w, 2)  # Q_2 = 0
+        norlund_mean_multiplier(spectrum, 2, w)  # Q_2 = 0
 
 
 def test_parse_family_round_trips_labels():
@@ -295,7 +295,9 @@ def test_kappa_thresholds():
 
 
 def test_fejer_multipliers_are_linear():
-    got = norlund_multipliers(WeightFamily.fejer(), 4)
+    # a flat spectrum comes back scaled by the multipliers Q_(n-j)/Q_n
+    flat = WalshSpectrum(Resolution(2), np.ones(4))
+    got = fwht_forward(norlund_mean_multiplier(flat, 4, WeightFamily.fejer())).coefficients
     assert np.allclose(got, [1.0, 0.75, 0.5, 0.25], atol=0)
 
 
