@@ -208,9 +208,9 @@ def serialize_config(mapping: dict[str, str]) -> str:
 def _parse_alphas(text: str) -> tuple[int, ...]:
     """Accept '1,2,3', '1 2 3', or a range '1..5'.
 
-    The largest exponent a is checked against the grid cap, which its
-    2a+1-bit row must fit under, before any row runs and before a range
-    is built."""
+    The smallest exponent must be at least 1, and the largest exponent a
+    is checked against the grid cap, which its 2a+1-bit row must fit
+    under; both before any row runs and before a range is built."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
@@ -229,7 +229,9 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
             exponents = tuple(int(p) for p in parts)
         except ValueError:
             raise ConfigError(f"bad exponent list {text!r}") from None
-        hi = max(exponents)
+        lo, hi = min(exponents), max(exponents)
+    if lo < 1:
+        raise ConfigError(f"block exponents must be >= 1, got {lo}")
     if 2 * hi + 1 > MAX_RESOLUTION_BITS:
         raise ResourceCapError(
             f"block exponent {hi} needs {2 * hi + 1} bits, more than the "
@@ -416,8 +418,6 @@ def _cmd_kappa(args: argparse.Namespace) -> _Table:
 def _cmd_lemma2(args: argparse.Namespace) -> _Table:
     w = parse_family(args.family)
     exponents = _parse_alphas(args.alphas)
-    if any(a < 1 for a in exponents):
-        raise ConfigError(f"block exponents must be >= 1, got {exponents}")
     # grow the weight cache once, for the widest row
     w.Q_array(1 << (2 * max(exponents)))
     rows = []

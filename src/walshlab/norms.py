@@ -94,16 +94,48 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     The rank-n cell averages are exactly the partial sums S_(2^n) f, so
     for functions resolved on the grid this is the full dyadic maximal
     function.
+
+    A cell average depends only on the low bits of the index, so the
+    level of averages over cells of 2^(N-m) points has 2^m values and
+    repeats with period 2^m across the grid.  The levels are built fine
+    to coarse by halving, 0.5 * (low half + high half), and packed into
+    the output buffer with the level of period s at [s, 2s).  After
+    their absolute values are taken they are folded coarse to fine:
+    each level becomes the max of itself and the folded level of period
+    s/2, tiled twice.  The finest folded level, tiled against |f|, is
+    the result.  That is about two passes over 2^N cells in all, where
+    maxing every level into the whole grid takes N.
+
+    The fold is exact, bit for bit, against that per-rank route: each
+    average is the same IEEE expression evaluated in the same order,
+    and the max of finite non-negative floats (abs maps -0.0 to +0.0)
+    is one of its arguments whatever the order of folding.
     """
-    level = f.values  # rank-N averages: f itself
-    best = np.abs(level)
-    for _ in range(f.resolution.bits):
-        half = level.size // 2
-        level = 0.5 * (level[:half] + level[half:])
-        # a cell average depends only on the low bits of the index, so
-        # this level repeats with period level.size across the grid
-        periods = best.reshape(-1, level.size)
-        np.maximum(periods, np.abs(level), out=periods)
+    values = f.values
+    size = values.size
+    half = size // 2
+    best = np.empty(size)
+    level = values
+    while level.size > 1:
+        s = level.size // 2
+        coarser = best[s : 2 * s]
+        np.add(level[:s], level[s:], out=coarser)
+        coarser *= 0.5
+        level = coarser
+    np.abs(best[1:], out=best[1:])
+    s = 1
+    while s < half:
+        finer = best[2 * s : 4 * s].reshape(2, s)
+        np.maximum(finer, best[s : 2 * s], out=finer)
+        s *= 2
+    # best[half:] is now the finest folded level; the lower half of the
+    # result overwrites the coarser levels, which are spent, and the
+    # upper half is folded in place a chunk at a time
+    np.abs(values[:half], out=best[:half])
+    np.maximum(best[:half], best[half:], out=best[:half])
+    for start in range(half, size, _CHUNK):
+        chunk = best[start : start + _CHUNK]
+        np.maximum(chunk, np.abs(values[start : start + _CHUNK]), out=chunk)
     return DyadicFunction.adopt(f.resolution, best)
 
 

@@ -6,7 +6,9 @@ quantity.  kernel_sum lays out any kernel window's coefficients, where
 the package's block_kernel writes only the block window's;
 atom_block and build_martingale sum the martingale from Dirichlet
 kernels, where the package synthesizes its closed-form spectrum.
-emit_text is the CLI's table encoder written cell by cell.
+maximal_by_rank maxes each rank's averages into the whole grid, where
+the package folds them coarse to fine.  emit_text is the CLI's table
+encoder written cell by cell.
 """
 
 import csv
@@ -112,6 +114,21 @@ def build_martingale(cfg: CounterexampleConfig) -> DyadicFunction:
     for k in range(cfg.K):
         total += cfg.block_weight(k) * atom_block(k, cfg, resolution).values
     return DyadicFunction.adopt(resolution, total)
+
+
+def maximal_by_rank(f: DyadicFunction) -> DyadicFunction:
+    """The dyadic maximal function with one full-grid max per rank.  The
+    library's coarse-to-fine fold must match it bit for bit."""
+    level = f.values  # rank-N averages: f itself
+    best = np.abs(level)
+    for _ in range(f.resolution.bits):
+        half = level.size // 2
+        level = 0.5 * (level[:half] + level[half:])
+        # a cell average depends only on the low bits of the index, so
+        # this level repeats with period level.size across the grid
+        periods = best.reshape(-1, level.size)
+        np.maximum(periods, np.abs(level), out=periods)
+    return DyadicFunction.adopt(f.resolution, best)
 
 
 def _float_text(v, full: bool) -> str:

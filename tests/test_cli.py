@@ -163,6 +163,18 @@ def test_lemma2_huge_exponent_range_is_a_short_resource_cap(capsys):
     assert len(err) < 200, len(err)
 
 
+@pytest.mark.parametrize(
+    "alphas, low", [("-20000..1", -20000), ("-100000000000..1", -100000000000), ("0,3", 0)]
+)
+def test_lemma2_exponent_below_one_is_a_short_config_error(capsys, alphas, low):
+    # refused by its smallest exponent before a range is built or echoed
+    code, out, err = run(capsys, "lemma2", "--family", "log", f"--alphas={alphas}")
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: block exponents must be >= 1, got {low}\n"
+    assert len(err) < 200, len(err)
+
+
 @pytest.mark.parametrize("alphas, top", [("11,12", 12), ("3,13", 13)])
 def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, top):
     # the largest exponent of a list is checked before any row runs, as a
@@ -310,6 +322,16 @@ def test_diverge_huge_exponent_range_is_a_short_resource_cap(tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("resource cap: ")
+    assert len(err) < 200, len(err)
+
+
+def test_diverge_exponent_below_one_is_a_short_config_error(tmp_path, capsys):
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = -20000..1\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "config error: block exponents must be >= 1, got -20000\n"
     assert len(err) < 200, len(err)
 
 

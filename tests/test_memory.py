@@ -24,6 +24,7 @@ from walshlab import (
     fwht_inverse,
     kernel_lower_bound_check,
     lp_quasinorm,
+    maximal_function,
     norlund_mean_multiplier,
     validate_structure,
 )
@@ -70,6 +71,15 @@ def test_lp_quasinorm_holds_under_half_an_array():
     array_bytes = 8 * f.resolution.size
     peak = traced_peak(lambda: lp_quasinorm(f, 0.75))
     assert peak < 0.5 * array_bytes, peak / array_bytes
+
+
+def test_maximal_function_peaks_at_most_1_6_arrays():
+    # the result buffer holds the packed rank averages while they fold, so
+    # only a chunk of |f| is held beside it
+    f = random_function(BITS)
+    array_bytes = 8 * f.resolution.size
+    peak = traced_peak(lambda: maximal_function(f))
+    assert peak <= 1.6 * array_bytes, peak / array_bytes
 
 
 def test_weight_cache_holds_only_the_prefix_sums():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import maximal_by_rank
 from walshlab import (
     DyadicFunction,
     Resolution,
@@ -152,6 +153,17 @@ def test_maximal_function_matches_oracle():
             values = rng.standard_normal(r.size)
             got = maximal_function(DyadicFunction(r, values)).values
             assert np.abs(got - maximal_oracle(values, bits)).max() < 1e-13, bits
+
+
+@pytest.mark.parametrize("bits", [*range(1, 21), 22])
+def test_maximal_function_is_bit_identical_to_per_rank_maxima(bits):
+    r = Resolution(bits)
+    rng = np.random.default_rng(bits)
+    ties = rng.integers(-3, 4, r.size).astype(np.float64)  # equal maxima across ranks
+    signed_zeros = np.where(ties > 0.0, -0.0, ties)
+    for values in (rng.standard_normal(r.size), ties, signed_zeros, np.full(r.size, -1.5)):
+        f = DyadicFunction(r, values)
+        assert maximal_function(f).values.tobytes() == maximal_by_rank(f).values.tobytes()
 
 
 def test_maximal_of_constant_is_its_magnitude():
