@@ -2,12 +2,12 @@
 
 The package works on the finite dyadic group at resolution N (2^N
 cells).  It provides the Walsh-Paley basis and fast transform, Dirichlet
-kernels in exact integer arithmetic, Nörlund means for a catalogue of
-weight families, exact weak-L_p and dyadic maximal-function sizes, an
-exhaustively verified lower bound for windowed Nörlund kernels on the
-quarter cell, and a block-martingale construction whose means blow up in
-weak-L_p relative to the Hardy size once the kernel floor constant
-kappa = q_1 - (3/2) q_3 is positive and p is small.
+kernels, Nörlund means for a catalogue of weight families, exact
+weak-L_p and dyadic maximal-function sizes, an exhaustively verified
+lower bound for windowed Nörlund kernels on the quarter cell, and a
+block-martingale construction whose means blow up in weak-L_p relative
+to the Hardy size once the kernel floor constant kappa = q_1 - (3/2) q_3
+is positive and p is small.
 
 Each module lists its public names in its own ``__all__``; the package
 re-exports exactly their union.

@@ -363,7 +363,7 @@ def _cmd_transform(args: argparse.Namespace) -> _Table:
             raise ConfigError(
                 f"got {coeffs.size} coefficients, need {resolution.size}"
             )
-        g = fwht_inverse(WalshSpectrum(resolution, coeffs))
+        g = fwht_inverse(WalshSpectrum.adopt(resolution, coeffs))
         return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
     f = _function_from_spec(args.f, resolution, args.seed)
     spectrum = fwht_forward(f)

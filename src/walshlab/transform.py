@@ -10,10 +10,13 @@ at resolution N, and the analysis/synthesis pair is its own transpose:
 a single in-place butterfly pass computes both directions, with the
 forward direction carrying the 2^-N measure normalization.
 
-Dirichlet kernels D_n = sum_{k<n} w_k are integer valued.  D_n for a
-power of two is 2^n on the rank-n cell at 0 and vanishes elsewhere; a
-general D_n is assembled from those blocks via the bit pattern of n,
-keeping every arithmetic step in exact integers.
+A character w_n and a Dirichlet kernel D_n = sum_{k<n} w_k are the
+synthesis of unit coefficients: at n, and at every index below n.  That
+synthesis is exact in float64.  Each butterfly output is a +/-1-signed
+sum of at most 2^N coefficients in {0, 1}, so it is an integer of
+magnitude at most 2^N <= 2^24, which float64 holds exactly.  Nor can a
+-0.0 appear: the butterfly only adds and subtracts values that start at
++0.0 or 1.0, and x - x is +0.0.
 """
 
 from __future__ import annotations
@@ -74,17 +77,19 @@ class WalshSpectrum:
         object.__setattr__(self, "coefficients", arr)
 
 
-def _sign_table(n: int, size: int) -> np.ndarray:
-    """Vector of w_n over all indices 0..size-1, as int64 +/-1."""
-    masked = np.bitwise_and(np.arange(size, dtype=np.int64), n)
-    return 1 - 2 * (np.bitwise_count(masked).astype(np.int64) & 1)
-
-
 def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
-    """The Walsh character w_n sampled on the whole grid."""
+    """The Walsh character w_n on the whole grid: the synthesis of a unit
+    coefficient at n.
+
+    Exact in float64: every butterfly output is a +/-1-signed sum of
+    coefficients in {0, 1}, so the cells hold +/-1.0, and no -0.0 arises
+    from values that start at +0.0 or 1.0.
+    """
     if not 0 <= n < resolution.size:
         raise DegreeError(f"Walsh index {n} out of range")
-    return DyadicFunction(resolution, _sign_table(n, resolution.size))
+    coeffs = np.zeros(resolution.size)
+    coeffs[n] = 1.0
+    return synthesize_in_place(resolution, coeffs)
 
 
 # Strides below _BLOCK run one _BLOCK-cell chunk at a time and wider
@@ -181,26 +186,18 @@ def synthesize_in_place(resolution: Resolution, coefficients: np.ndarray) -> Dya
     return DyadicFunction.adopt(resolution, coefficients)
 
 
-def _power_block(k: int, idx: np.ndarray) -> np.ndarray:
-    # D_(2^k) = 2^k on indices whose low k bits vanish, 0 elsewhere.
-    return np.where(idx & ((1 << k) - 1) == 0, np.int64(1) << k, np.int64(0))
-
-
 def dirichlet_kernel(n: int, resolution: Resolution) -> DyadicFunction:
-    """D_n = sum_{k<n} w_k, evaluated in exact integer arithmetic.
+    """D_n = sum_{k<n} w_k: the synthesis of unit coefficients below n.
 
-    For n = 2^m the kernel is the scaled cell indicator 2^m on the rank-m
-    cell at 0.  Otherwise it is w_n times the sum, over the set bits k of
-    n, of D_(2^(k+1)) - D_(2^k).
+    Exact in float64: every butterfly output is a +/-1-signed sum of at
+    most 2^N coefficients in {0, 1}, an integer of magnitude at most
+    2^N <= 2^24, and no -0.0 arises from values that start at +0.0 or
+    1.0.  For n = 2^m the kernel is the scaled cell indicator 2^m on the rank-m
+    cell at 0.
     """
     size = resolution.size
     if not 1 <= n <= size:
         raise DegreeError(f"Dirichlet order {n} out of range (1..{size})")
-    idx = np.arange(size, dtype=np.int64)
-    if n == size:
-        return DyadicFunction(resolution, _power_block(resolution.bits, idx))
-    acc = np.zeros(size, dtype=np.int64)
-    for k in range(resolution.bits):
-        if n >> k & 1:
-            acc += _power_block(k + 1, idx) - _power_block(k, idx)
-    return DyadicFunction(resolution, _sign_table(n, size) * acc)
+    coeffs = np.zeros(size)
+    coeffs[:n] = 1.0
+    return synthesize_in_place(resolution, coeffs)

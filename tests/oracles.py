@@ -2,13 +2,15 @@
 
 Each follows its definition term by term, in O(n 2^N) work, and is not
 part of the package: production code has one evaluation path per
-quantity.  kernel_sum lays out any kernel window's coefficients, where
-the package's block_kernel writes only the block window's;
-atom_block and build_martingale sum the martingale from Dirichlet
-kernels, where the package synthesizes its closed-form spectrum.
-maximal_by_rank maxes each rank's averages into the whole grid, where
-the package folds them coarse to fine.  emit_text is the CLI's table
-encoder written cell by cell.
+quantity.  dirichlet_by_blocks assembles a Dirichlet kernel in int64
+from its power-of-two blocks, where the package synthesizes unit
+coefficients with the butterfly.  kernel_sum lays out any kernel
+window's coefficients, where the package's block_kernel writes only the
+block window's; atom_block and build_martingale sum the martingale from
+dirichlet_by_blocks kernels, where the package synthesizes its
+closed-form spectrum.  maximal_by_rank maxes each rank's averages into
+the whole grid, where the package folds them coarse to fine.  emit_text
+is the CLI's table encoder written cell by cell.
 """
 
 import csv
@@ -23,7 +25,6 @@ from walshlab import (
     Resolution,
     WalshSpectrum,
     WeightFamily,
-    dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
     synthesize_in_place,
@@ -35,6 +36,32 @@ def sign_table(n: int, size: int) -> np.ndarray:
     """Vector of w_n over all indices 0..size-1, as int64 +/-1."""
     masked = np.bitwise_and(np.arange(size, dtype=np.int64), n)
     return 1 - 2 * (np.bitwise_count(masked).astype(np.int64) & 1)
+
+
+def _power_block(k: int, idx: np.ndarray) -> np.ndarray:
+    # D_(2^k) = 2^k on indices whose low k bits vanish, 0 elsewhere.
+    return np.where(idx & ((1 << k) - 1) == 0, np.int64(1) << k, np.int64(0))
+
+
+def dirichlet_by_blocks(n: int, resolution: Resolution) -> DyadicFunction:
+    """D_n = sum_{k<n} w_k, evaluated in exact integer arithmetic.
+
+    For n = 2^m the kernel is the scaled cell indicator 2^m on the rank-m
+    cell at 0.  Otherwise it is w_n times the sum, over the set bits k of
+    n, of D_(2^(k+1)) - D_(2^k).  The library's butterfly synthesis must
+    match it bit for bit.
+    """
+    size = resolution.size
+    if not 1 <= n <= size:
+        raise DegreeError(f"Dirichlet order {n} out of range (1..{size})")
+    idx = np.arange(size, dtype=np.int64)
+    if n == size:
+        return DyadicFunction(resolution, _power_block(resolution.bits, idx))
+    acc = np.zeros(size, dtype=np.int64)
+    for k in range(resolution.bits):
+        if n >> k & 1:
+            acc += _power_block(k + 1, idx) - _power_block(k, idx)
+    return DyadicFunction(resolution, sign_table(n, size) * acc)
 
 
 def butterfly(values) -> np.ndarray:
@@ -102,8 +129,8 @@ def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> Dya
             f"block exponent {a} needs at least {2 * a + 1} bits, "
             f"resolution has {resolution.bits}"
         )
-    hi = dirichlet_kernel(1 << (2 * a + 1), resolution)
-    lo = dirichlet_kernel(1 << (2 * a), resolution)
+    hi = dirichlet_by_blocks(1 << (2 * a + 1), resolution)
+    lo = dirichlet_by_blocks(1 << (2 * a), resolution)
     return DyadicFunction.adopt(resolution, cfg.block_height(k) * (hi.values - lo.values))
 
 

@@ -101,6 +101,13 @@ def test_transform_bad_spec_exit_code(capsys):
     assert "config error" in err
 
 
+def test_transform_dirichlet_spectrum_is_ones_below_the_order(capsys):
+    code, out, _ = run(capsys, "transform", "--f", "dirichlet:5", "--n", "4")
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[1] for r in rows] == ["1"] * 5 + ["0"] * 11
+
+
 # --- kappa and lemma2 -------------------------------------------------------
 
 
@@ -257,6 +264,27 @@ def test_diverge_csv_and_json_carry_identical_values(tmp_path, capsys):
                 assert float(cell) == jv  # bit-identical after shared rounding
             else:
                 assert int(cell) == jv
+
+
+def test_diverge_family_flag_overrides_the_config(capsys):
+    code, out, _ = run(
+        capsys, "diverge", "--config", f"{REPRO}/log_p075.cfg",
+        "--family", "cesaro:0.25", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["family"] == "cesaro:0.25"
+
+
+def test_diverge_non_convex_family_fails_the_structure_screen(tmp_path, capsys):
+    # vlog:1.9 has a positive kernel floor but a non-convex head
+    assert walshlab.kappa(walshlab.parse_family("vlog:1.9")).kappa > 0
+    text = (REPRO / "log_p075.cfg").read_text().replace("family = log", "family = vlog:1.9")
+    cfg = tmp_path / "vlog19.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "fails the structure screen" in err
 
 
 def test_diverge_hypothesis_violation_is_config_error(capsys):
@@ -436,6 +464,9 @@ def test_mean_of_constant_is_constant(capsys):
         (("kappa", "--n", "99"), "kappa takes no --n"),
         (("diverge", "--config", f"{REPRO}/log_p075.cfg", "--p", "0.005"),
          "block height 2^(2 a (1/p - 1)) overflows"),
+        (("transform", "--f", "dirichlet:x", "--n", "4"), "bad kernel order 'x'"),
+        (("transform", "--f", "dirichlet:0", "--n", "4"), "Dirichlet order 0 out of range"),
+        (("transform", "--f", "walsh:8", "--n", "3"), "character index 8 out of range"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

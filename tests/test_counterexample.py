@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import walshlab.counterexample
 from walshlab import (
     CounterexampleConfig,
     DyadicFunction,
@@ -210,6 +211,17 @@ def test_measured_floor_beats_guaranteed_floor():
     for row in rep.rows:
         assert row.pointwise_floor >= guaranteed_floor(cfg, row.k) - 1e-12
     assert rep.floors_hold
+
+
+def test_floor_below_the_guarantee_fails_only_the_floor_verdict(monkeypatch):
+    cfg = log_cfg()
+    honest = divergence_experiment(cfg)
+    monkeypatch.setattr(walshlab.counterexample, "guaranteed_floor", lambda cfg, k: math.inf)
+    rep = divergence_experiment(cfg)
+    assert rep.floors_hold is False
+    assert rep.ok is False
+    assert rep.ratios_strictly_increasing is honest.ratios_strictly_increasing is True
+    assert rep.weak_floor_consistent is honest.weak_floor_consistent is True
 
 
 def test_weak_value_dominates_theory_bound():

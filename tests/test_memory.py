@@ -20,6 +20,7 @@ from walshlab import (
     DyadicFunction,
     Resolution,
     WeightFamily,
+    dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
     kernel_lower_bound_check,
@@ -27,6 +28,7 @@ from walshlab import (
     maximal_function,
     norlund_mean_multiplier,
     validate_structure,
+    walsh_function,
 )
 
 BITS = 16
@@ -64,6 +66,14 @@ def test_transform_peaks_are_at_most_2_6_arrays():
     inverse = traced_peak(lambda: fwht_inverse(spectrum))
     assert forward <= 2.6 * array_bytes, forward / array_bytes
     assert inverse <= 2.6 * array_bytes, inverse / array_bytes
+
+
+@pytest.mark.parametrize("build", [dirichlet_kernel, walsh_function])
+def test_kernel_and_character_peaks_are_at_most_2_6_arrays(build):
+    # one synthesis: the coefficient buffer becomes the result
+    r = Resolution(BITS)
+    peak = traced_peak(lambda: build(r.size - 1, r))
+    assert peak <= 2.6 * 8 * r.size, peak / (8 * r.size)
 
 
 def test_lp_quasinorm_holds_under_half_an_array():

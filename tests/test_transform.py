@@ -23,7 +23,7 @@ from walshlab import (
 )
 from walshlab.errors import DegreeError
 
-from oracles import butterfly, partial_sum
+from oracles import butterfly, dirichlet_by_blocks, partial_sum, sign_table
 
 
 def sign_oracle(n: int, x: int) -> int:
@@ -264,6 +264,41 @@ def test_dirichlet_power_of_two_closed_form():
         idx = np.arange(r.size)
         expected = np.where(idx % n == 0, float(n), 0.0)
         assert np.array_equal(got, expected)
+
+
+# The butterfly synthesis must give the integer route's float64 bytes:
+# byte equality also rules out a -0.0 where the integers give +0.0.
+
+
+def test_dirichlet_bytes_match_blocks_for_every_order_to_10_bits():
+    for bits in range(1, 11):
+        r = Resolution(bits)
+        for n in range(1, r.size + 1):
+            got = dirichlet_kernel(n, r).values.tobytes()
+            assert got == dirichlet_by_blocks(n, r).values.tobytes(), (bits, n)
+
+
+@pytest.mark.parametrize("bits", [16, 20, 22])
+def test_dirichlet_bytes_match_blocks_on_large_grids(bits):
+    # above 16 bits the butterfly runs in 2^16-cell chunks; there the
+    # powers are taken at the grid's ends and at the chunk's edge only,
+    # as the integer route takes up to a second per order at 22 bits
+    r = Resolution(bits)
+    powers = range(1, bits) if bits <= 16 else (1, 15, 16, 17, bits - 1)
+    orders = {1, 2, r.size - 1, r.size}
+    orders |= {(1 << k) + d for k in powers for d in (-1, 1)}
+    orders |= set(np.random.default_rng(bits).integers(1, r.size + 1, 5).tolist())
+    for n in sorted(orders):
+        got = dirichlet_kernel(n, r).values.tobytes()
+        assert got == dirichlet_by_blocks(n, r).values.tobytes(), n
+
+
+def test_walsh_function_bytes_match_sign_table_to_8_bits():
+    for bits in range(1, 9):
+        r = Resolution(bits)
+        for n in range(r.size):
+            expect = sign_table(n, r.size).astype(np.float64).tobytes()
+            assert walsh_function(n, r).values.tobytes() == expect, (bits, n)
 
 
 def test_dirichlet_l1_norm_of_d4_is_one():

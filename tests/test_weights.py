@@ -18,7 +18,6 @@ from walshlab import (
     WalshSpectrum,
     WeightFamily,
     cesaro_kappa_threshold,
-    dirichlet_kernel,
     fwht_forward,
     kappa,
     norlund_mean_multiplier,
@@ -29,7 +28,7 @@ from walshlab import (
 from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from walshlab.weights import MAX_WEIGHT_HORIZON
 
-from oracles import kernel_sum, norlund_mean_naive, partial_sum
+from oracles import dirichlet_by_blocks, kernel_sum, norlund_mean_naive, partial_sum
 
 
 ALL_FAMILIES = [
@@ -389,7 +388,7 @@ def kernel_sum_oracle(w, a, b, resolution):
     # direct accumulation of q_(b-j) D_j
     total = np.zeros(resolution.size)
     for j in range(a, b + 1):
-        total += w.q(b - j) * dirichlet_kernel(j, resolution).values
+        total += w.q(b - j) * dirichlet_by_blocks(j, resolution).values
     return total
 
 
