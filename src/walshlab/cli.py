@@ -81,6 +81,8 @@ def _json_cell(v: Any, full: bool) -> Any:
     return str(v)
 
 
+_FORMATS = ("csv", "json")
+
 # rows formatted and written at a time, so the whole output text is never held
 _EMIT_ROWS = 1 << 12
 
@@ -129,8 +131,6 @@ def _emit(
     The bytes are those of csv.writer over _csv_cell cells, or of
     json.dumps(indent=2) over _json_cell cells, written chunk by chunk."""
     fmt, full = args.format or "csv", args.full_precision
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
     chunks = _column_chunks(rows, fmt, full)
     with (
         open(args.out, "w", encoding="utf-8", newline="")
@@ -240,10 +240,9 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _get_float(mapping: dict[str, str], key: str, default: float | None = None) -> float:
+def _get_float(mapping: dict[str, str], key: str, default: float = 0.0) -> float:
+    # _experiment_config has already refused a missing required key
     if key not in mapping:
-        if default is None:
-            raise ConfigError(f"config is missing required key {key!r}")
         return default
     try:
         return float(mapping[key])
@@ -313,10 +312,6 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
             n = int(arg)
         except ValueError:
             raise ConfigError(f"bad character index {arg!r}") from None
-        if not 0 <= n < resolution.size:
-            raise ConfigError(
-                f"character index {n} out of range for {resolution.bits} bits"
-            )
         return walsh_function(n, resolution)
     if kind == "dirichlet":
         try:
@@ -328,13 +323,7 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
         rng = np.random.default_rng(seed)
         return DyadicFunction.adopt(resolution, rng.standard_normal(resolution.size))
     if kind == "file":
-        values = _read_numeric_column(arg)
-        if values.size != resolution.size:
-            raise ConfigError(
-                f"{arg}: got {values.size} values, a {resolution.bits}-bit grid "
-                f"needs {resolution.size}"
-            )
-        return DyadicFunction.adopt(resolution, values)
+        return DyadicFunction.adopt(resolution, _read_numeric_column(arg))
     raise ConfigError(
         f"unknown function spec {spec!r} (use const:V, walsh:K, dirichlet:N, "
         f"rand, or file:PATH)"
@@ -359,10 +348,6 @@ def _cmd_transform(args: argparse.Namespace) -> _Table:
         if not args.f.startswith("file:"):
             raise ConfigError("--inverse needs --f file:PATH with coefficients")
         coeffs = _read_numeric_column(args.f.partition(":")[2])
-        if coeffs.size != resolution.size:
-            raise ConfigError(
-                f"got {coeffs.size} coefficients, need {resolution.size}"
-            )
         g = fwht_inverse(WalshSpectrum.adopt(resolution, coeffs))
         return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
     f = _function_from_spec(args.f, resolution, args.seed)
@@ -445,9 +430,11 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
         mapping["p"] = repr(args.p)
     if args.family is not None:
         mapping["family"] = args.family
-    args.format = args.format or mapping.get("format")
     args.out = args.out or mapping.get("out") or None
     cfg = _experiment_config(mapping)
+    args.format = args.format or mapping.get("format") or None
+    if args.format not in (None, *_FORMATS):
+        raise ConfigError(f"unknown output format {args.format!r}")
 
     report = divergence_experiment(cfg)
     _note(f"diverge: family = {cfg.weights.label}, p = {cfg.p:g}, alphas = {cfg.alphas}")
@@ -509,7 +496,7 @@ def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, default=None, help="resolution bits")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=_FORMATS, default=None)
     common.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64)")
     common.add_argument(
         "--full-precision",

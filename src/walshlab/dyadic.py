@@ -93,7 +93,7 @@ class DyadicFunction:
                 f"grid, got {arr.shape[0]}"
             )
         if not np.all(np.isfinite(arr)):
-            raise ValueError("function values must be finite")
+            raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "values", arr)

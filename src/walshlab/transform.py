@@ -42,39 +42,29 @@ __all__ = [
 class WalshSpectrum:
     """Walsh coefficients f^(0..2^N-1) of a function at resolution N.
 
-    Like ``DyadicFunction`` it has two ways in: the constructor copies
-    ``coefficients`` (any array-like), and ``WalshSpectrum.adopt(resolution,
-    buffer)`` wraps a 1-D float64 buffer the caller gives up, without a
-    copy.  Both check the length and that every coefficient is finite, and
-    both store a read-only array.
+    The coefficients obey ``DyadicFunction``'s rules for values (2^N
+    finite float64s, stored read-only) and are checked by them, with the
+    same messages.  Like ``DyadicFunction`` it has two ways in: the
+    constructor copies ``coefficients`` (any array-like), and
+    ``WalshSpectrum.adopt(resolution, buffer)`` wraps a 1-D float64 buffer
+    the caller gives up, without a copy.
     """
 
     resolution: Resolution
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        self._bind(np.array(self.coefficients, dtype=np.float64, copy=True).reshape(-1))
+        checked = DyadicFunction(self.resolution, self.coefficients).values
+        object.__setattr__(self, "coefficients", checked)
 
     @classmethod
     def adopt(cls, resolution: Resolution, buffer: np.ndarray) -> "WalshSpectrum":
         """Wrap ``buffer`` without a copy; the caller must not write to it
         again.  It must be a 1-D float64 array."""
-        if not isinstance(buffer, np.ndarray) or buffer.dtype != np.float64 or buffer.ndim != 1:
-            raise TypeError("adopt needs a 1-D float64 array")
         obj = object.__new__(cls)
         object.__setattr__(obj, "resolution", resolution)
-        obj._bind(buffer)
+        object.__setattr__(obj, "coefficients", DyadicFunction.adopt(resolution, buffer).values)
         return obj
-
-    def _bind(self, arr: np.ndarray) -> None:
-        if arr.shape != (self.resolution.size,):
-            raise ValueError(
-                f"expected {self.resolution.size} coefficients, got {arr.shape[0]}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
 
 
 def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
@@ -86,7 +76,7 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
     from values that start at +0.0 or 1.0.
     """
     if not 0 <= n < resolution.size:
-        raise DegreeError(f"Walsh index {n} out of range")
+        raise DegreeError(f"character index {n} out of range for {resolution.bits} bits")
     coeffs = np.zeros(resolution.size)
     coeffs[n] = 1.0
     return synthesize_in_place(resolution, coeffs)

@@ -287,6 +287,15 @@ def test_diverge_non_convex_family_fails_the_structure_screen(tmp_path, capsys):
     assert "fails the structure screen" in err
 
 
+def test_diverge_refuses_an_unknown_format_before_the_run(tmp_path, capsys):
+    cfg = tmp_path / "xml.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = 1,2\nformat = xml\n")
+    code, out, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "config error: unknown output format 'xml'\n"
+
+
 def test_diverge_hypothesis_violation_is_config_error(capsys):
     code, _, err = run(
         capsys, "diverge", "--config", f"{REPRO}/cesaro025_p07.cfg", "--p", "0.9"
@@ -425,6 +434,10 @@ def test_monitor_seed_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["monitor", "--n", "4", "--seed", "-1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["monitor", "--n", "4", "--seed", "x"])
+    assert exc.value.code == 2
+    assert "bad seed 'x'" in capsys.readouterr().err
 
 
 # --- misc -------------------------------------------------------------------
@@ -467,6 +480,19 @@ def test_mean_of_constant_is_constant(capsys):
         (("transform", "--f", "dirichlet:x", "--n", "4"), "bad kernel order 'x'"),
         (("transform", "--f", "dirichlet:0", "--n", "4"), "Dirichlet order 0 out of range"),
         (("transform", "--f", "walsh:8", "--n", "3"), "character index 8 out of range"),
+        (("transform", "--f", "walsh:-1", "--n", "3"),
+         "character index -1 out of range for 3 bits"),
+        (("transform", "--f", "walsh:x", "--n", "3"), "bad character index 'x'"),
+        (("transform", "--f", "const:x", "--n", "3"), "bad constant 'x'"),
+        (("transform", "--f", "file:{tmp}/missing.txt", "--n", "3"), "cannot read"),
+        (("transform", "--f", "rand"), "needs --n"),
+        (("transform", "--n", "3", "--inverse", "--f", "rand"), "--inverse needs --f file:PATH"),
+        (("kernels", "--n", "3"), "kernels needs --order N"),
+        (("diverge", "--config", "{tmp}/missing.cfg"), "cannot read"),
+        (("lemma2", "--family", "log", "--alphas", "1..x"), "bad exponent range '1..x'"),
+        (("lemma2", "--family", "log", "--alphas", "3..2"), "empty exponent range '3..2'"),
+        (("lemma2", "--family", "log", "--alphas", "1,x"), "bad exponent list '1,x'"),
+        (("lemma2", "--family", "log", "--alphas", " , "), "empty exponent list"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):
@@ -474,6 +500,36 @@ def test_bad_input_is_config_error(argv, message, tmp_path, capsys):
     assert code == 2
     assert err.startswith("config error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("family = log\nalphas = 1\n", ("diverge", "--config", "{path}"),
+         "config is missing required key 'p'"),
+        ("family = log\np = abc\nalphas = 1\n", ("diverge", "--config", "{path}"),
+         "key 'p': not a number: 'abc'"),
+        ("1\n2\nx\n4\n", ("transform", "--n", "2", "--f", "file:{path}"), "bad number 'x'"),
+        ("value\n", ("transform", "--n", "2", "--f", "file:{path}"), "no numeric data"),
+        # grid length and finiteness come from the library, one wording each
+        ("1\n2\n3\n", ("transform", "--n", "2", "--f", "file:{path}"),
+         "expected 4 values for a 2-bit grid, got 3"),
+        ("1\n2\n3\n", ("transform", "--n", "2", "--inverse", "--f", "file:{path}"),
+         "expected 4 values for a 2-bit grid, got 3"),
+        ("1\nnan\n3\n4\n", ("transform", "--n", "2", "--inverse", "--f", "file:{path}"),
+         "values must be finite"),
+    ],
+    ids=["missing-p", "p-abc", "bad-number", "no-numbers", "short-file", "short-inverse",
+         "nan-coefficient"],
+)
+def test_bad_input_file_is_config_error(text, argv, message, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert err.endswith(f"{message}\n")
 
 
 def test_module_entry_point_exits_2_without_traceback():

@@ -73,6 +73,15 @@ def test_config_rejects_nonpositive_kernel_floor():
         log_cfg(weights=WeightFamily.fejer())
 
 
+def test_config_rejects_bad_weights_and_constants():
+    with pytest.raises(TypeError, match="weights must be a WeightFamily"):
+        log_cfg(weights="log")
+    with pytest.raises(PreconditionError, match="beta_exp must be >= 0"):
+        log_cfg(beta_exp=-1.0)
+    with pytest.raises(PreconditionError, match="c_const must be positive"):
+        log_cfg(c_const=0.0)
+
+
 # --- blocks and spectra -----------------------------------------------------
 
 

@@ -20,6 +20,13 @@ def test_resolution_rejects_bad_bits():
         Resolution(25)
 
 
+def test_resolution_rejects_non_integer_bits():
+    # bool is an int subclass, but True is no bit count
+    for bad in (2.5, True):
+        with pytest.raises(TypeError, match="must be an integer"):
+            Resolution(bad)
+
+
 def test_quarter_cell_is_the_rank_two_cell_at_three():
     # the quarter cell I_2(e_0 + e_1) holds the indices congruent to 3
     # mod 4: a small value counts exactly when it sits on one of them
@@ -44,6 +51,12 @@ def test_function_values_are_read_only():
     f = DyadicFunction(r, np.zeros(4))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_function_attributes_cannot_be_assigned():
+    f = DyadicFunction.constant(1.0, Resolution(2))
+    with pytest.raises(AttributeError, match="immutable"):
+        f.values = np.zeros(4)
 
 
 def test_constant_function():

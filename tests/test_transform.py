@@ -139,6 +139,36 @@ def test_spectrum_adopt_wraps_without_copy_and_keeps_the_checks():
         WalshSpectrum.adopt(r, np.zeros((2, 4)))
 
 
+def _outcome(make, r, x):
+    # the stored array's dtype and bytes, or the refusal's type and message
+    try:
+        made = make(r, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    stored = made.values if isinstance(made, DyadicFunction) else made.coefficients
+    return stored.dtype, stored.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros(5),
+        np.array([0.0, np.nan, 0, 0, 0, 0, 0, 0]),
+        np.array([0.0, 0, 0, np.inf, 0, 0, 0, 0]),
+        np.arange(8),
+        np.zeros((2, 4)),
+    ],
+    ids=["wrong-length", "nan", "inf", "int64", "2-D"],
+)
+def test_spectrum_and_function_share_one_array_rule(bad):
+    # coefficients are checked by DyadicFunction's rules, with its messages
+    r = Resolution(3)
+    assert _outcome(WalshSpectrum, r, bad) == _outcome(DyadicFunction, r, bad)
+    adopted = _outcome(WalshSpectrum.adopt, r, bad.copy())
+    assert adopted == _outcome(DyadicFunction.adopt, r, bad.copy())
+    assert adopted[0] in (TypeError, ValueError)
+
+
 def test_synthesis_consumes_its_buffer():
     r = Resolution(4)
     rng = np.random.default_rng(48)

@@ -83,6 +83,21 @@ def test_vlog_weights_and_default_head():
     )
 
 
+def test_families_refuse_parameters_out_of_range():
+    with pytest.raises(ValueError, match="ualpha order must lie in"):
+        WeightFamily.ualpha(1.5)
+    with pytest.raises(ValueError, match="vlog q0 must be finite and >= 0"):
+        WeightFamily.vlog(-1)
+
+
+def test_weight_access_refuses_negative_indices():
+    w = WeightFamily.logarithmic()
+    with pytest.raises(ValueError, match="weight index must be >= 0"):
+        w.q(-1)
+    with pytest.raises(ValueError, match="prefix length must be >= 0"):
+        w.Q_array(-1)
+
+
 def test_custom_family_and_validation():
     w = WeightFamily.custom([3.0, 2.0, 1.0])
     assert np.array_equal(w.q_array(3), [3.0, 2.0, 1.0])
@@ -142,7 +157,17 @@ def test_parse_family_custom_file(tmp_path):
     assert np.array_equal(w.q_array(4), [4.0, 3.0, 2.0, 1.0])
 
 
+def test_parse_family_custom_needs_a_path():
+    with pytest.raises(ValueError, match="custom needs a file path"):
+        parse_family("custom:")
+
+
 # --- structure screen -------------------------------------------------------
+
+
+def test_structure_screen_needs_two_weights():
+    with pytest.raises(ValueError, match="n_max >= 2"):
+        validate_structure(WeightFamily.logarithmic(), 1)
 
 
 def test_structure_screen_passes_builtins():
