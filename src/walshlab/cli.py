@@ -9,6 +9,12 @@ Subcommands
     diverge     the blow-up experiment from a config file
     monitor     bounded-regime ratios for a function and weight family
 
+Each subcommand takes only the flags it reads, spelled out in full, and
+argparse refuses any other with exit 2.  Every one takes the output flags --out, --format and
+--full-precision; --n goes with the grid commands (transform, kernels,
+mean, monitor), --seed with --f, and kernels --family only with --block.
+A diverge config holds the whole experiment and its flags only the output.
+
 Exit codes: 0 success, 2 config error (invalid input, or an --out path that
 cannot be written), 3 assertion failure, 4 resource cap.  All floats are
 printed with 9 significant digits unless --full-precision asks for the
@@ -130,7 +136,7 @@ def _emit(
 
     The bytes are those of csv.writer over _csv_cell cells, or of
     json.dumps(indent=2) over _json_cell cells, written chunk by chunk."""
-    fmt, full = args.format or "csv", args.full_precision
+    fmt, full = args.format, args.full_precision
     chunks = _column_chunks(rows, fmt, full)
     with (
         open(args.out, "w", encoding="utf-8", newline="")
@@ -254,7 +260,7 @@ def _experiment_config(mapping: dict[str, str]) -> CounterexampleConfig:
     for key in ("family", "p", "alphas"):
         if key not in mapping:
             raise ConfigError(f"config is missing required key {key!r}")
-    known = {"family", "p", "alphas", "alpha_exp", "beta_exp", "c_const", "format", "out"}
+    known = {"family", "p", "alphas", "alpha_exp", "beta_exp", "c_const"}
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -320,6 +326,8 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
             raise ConfigError(f"bad kernel order {arg!r}") from None
         return dirichlet_kernel(n, resolution)
     if kind == "rand":
+        if arg:
+            raise ConfigError(f"rand takes no argument, got {arg!r}")
         rng = np.random.default_rng(seed)
         return DyadicFunction.adopt(resolution, rng.standard_normal(resolution.size))
     if kind == "file":
@@ -330,12 +338,6 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
     )
 
 
-def _resolution(args: argparse.Namespace) -> Resolution:
-    if args.n is None:
-        raise ConfigError("this command needs --n <resolution bits>")
-    return Resolution(args.n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (columns, rows, meta, exit status) for main to emit
 
@@ -343,7 +345,7 @@ _Table = tuple[Sequence[str], Iterable[Sequence[Any]], dict[str, Any], int]
 
 
 def _cmd_transform(args: argparse.Namespace) -> _Table:
-    resolution = _resolution(args)
+    resolution = Resolution(args.n)
     if args.inverse:
         if not args.f.startswith("file:"):
             raise ConfigError("--inverse needs --f file:PATH with coefficients")
@@ -357,22 +359,22 @@ def _cmd_transform(args: argparse.Namespace) -> _Table:
 
 
 def _cmd_kernels(args: argparse.Namespace) -> _Table:
-    resolution = _resolution(args)
+    resolution = Resolution(args.n)
     meta: dict[str, Any] = {"n": resolution.bits}
     if args.block is not None:
-        w = parse_family(args.family)
+        w = parse_family(args.family or "log")
         values = block_kernel(w, args.block, resolution).values
         meta |= {"family": w.label, "block": args.block, "kappa": kappa(w).kappa}
     else:
-        if args.order is None:
-            raise ConfigError("kernels needs --order N (or --block A with --family)")
+        if args.family is not None:
+            raise ConfigError("--family applies only with --block")
         values = dirichlet_kernel(args.order, resolution).values
         meta |= {"order": args.order}
     return *_indexed(values, "value"), meta, 0
 
 
 def _cmd_mean(args: argparse.Namespace) -> _Table:
-    resolution = _resolution(args)
+    resolution = Resolution(args.n)
     w = parse_family(args.family)
     order = args.order if args.order is not None else resolution.size
     f = _function_from_spec(args.f, resolution, args.seed)
@@ -425,17 +427,7 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
             mapping = parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from None
-    # command-line flags override the file
-    if args.p is not None:
-        mapping["p"] = repr(args.p)
-    if args.family is not None:
-        mapping["family"] = args.family
-    args.out = args.out or mapping.get("out") or None
     cfg = _experiment_config(mapping)
-    args.format = args.format or mapping.get("format") or None
-    if args.format not in (None, *_FORMATS):
-        raise ConfigError(f"unknown output format {args.format!r}")
-
     report = divergence_experiment(cfg)
     _note(f"diverge: family = {cfg.weights.label}, p = {cfg.p:g}, alphas = {cfg.alphas}")
     _note(f"diverge: kappa = {report.kappa:.9g}, theory constant c = {report.theory_constant:.9g}")
@@ -471,7 +463,7 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> _Table:
-    resolution = _resolution(args)
+    resolution = Resolution(args.n)
     w = parse_family(args.family)
     f = _function_from_spec(args.f, resolution, args.seed)
     pairs = bounded_case_monitor(f, w, args.p)
@@ -489,21 +481,6 @@ def _cmd_monitor(args: argparse.Namespace) -> _Table:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand takes, as an argparse parent parser."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="resolution bits")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=_FORMATS, default=None)
-    common.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64)")
-    common.add_argument(
-        "--full-precision",
-        action="store_true",
-        help="write floats at full precision instead of 9 significant digits",
-    )
-    return common
 
 
 def _seed(text: str) -> int:
@@ -524,58 +501,67 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"walshlab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    common = [_common_options()]
+    # the output flags, the only ones every subcommand takes
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path (default stdout)")
+    output.add_argument("--format", choices=_FORMATS, default="csv")
+    output.add_argument(
+        "--full-precision",
+        action="store_true",
+        help="write floats at full precision instead of 9 significant digits",
+    )
 
-    p = subs.add_parser("transform", help="Walsh spectrum of a function spec", parents=common)
-    p.add_argument("--f", default="const:1", help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
-    p.add_argument("--inverse", action="store_true", help="synthesize values from file:PATH coefficients")
-    p.set_defaults(func=_cmd_transform)
+    def command(name: str, func, summary: str, grid: bool = False, spec: str | None = None):
+        """A subcommand with the output flags, plus --n for a grid command
+        and --f (default ``spec``) with its --seed for one that reads a
+        function."""
+        # no prefix of a flag stands for it: each flag has one spelling
+        p = subs.add_parser(name, help=summary, parents=[output], allow_abbrev=False)
+        if grid:
+            p.add_argument("--n", type=int, required=True, help="resolution bits")
+        if spec is not None:
+            p.add_argument("--f", default=spec,
+                           help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
+            p.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64) for --f rand")
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("kernels", help="Dirichlet kernel or weighted block kernel values", parents=common)
-    p.add_argument("--order", type=int, default=None, help="Dirichlet kernel order")
-    p.add_argument("--family", default="log", help="weight family for --block mode")
-    p.add_argument("--block", type=int, default=None, help="block exponent a: window [2^(2a), 2^(2a+1)]")
-    p.set_defaults(func=_cmd_kernels)
+    p = command("transform", _cmd_transform, "Walsh spectrum of a function spec",
+                grid=True, spec="const:1")
+    p.add_argument("--inverse", action="store_true",
+                   help="synthesize values from file:PATH coefficients")
 
-    p = subs.add_parser("mean", help="Nörlund mean of a function spec", parents=common)
-    p.add_argument("--f", default="rand", help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
+    p = command("kernels", _cmd_kernels, "Dirichlet kernel or weighted block kernel values",
+                grid=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--order", type=int, help="Dirichlet kernel order")
+    mode.add_argument("--block", type=int, help="block exponent a: window [2^(2a), 2^(2a+1)]")
+    p.add_argument("--family", default=None, help="weight family for --block (default log)")
+
+    p = command("mean", _cmd_mean, "Nörlund mean of a function spec", grid=True, spec="rand")
     p.add_argument("--family", default="fejer")
     p.add_argument("--order", type=int, default=None, help="mean order (default 2^n)")
-    p.set_defaults(func=_cmd_mean)
 
-    p = subs.add_parser("kappa", help="kernel floor constants per family", parents=common)
+    p = command("kappa", _cmd_kappa, "kernel floor constants per family")
     p.add_argument("families", nargs="*", help=f"default: {' '.join(_DEFAULT_KAPPA_FAMILIES)}")
-    p.set_defaults(func=_cmd_kappa)
 
-    p = subs.add_parser("lemma2", help="kernel lower bound check over block exponents", parents=common)
+    p = command("lemma2", _cmd_lemma2, "kernel lower bound check over block exponents")
     p.add_argument("--family", required=True)
     p.add_argument("--alphas", default="1..4", help="exponent list '1,2,3' or range '1..4'")
-    p.set_defaults(func=_cmd_lemma2)
 
-    p = subs.add_parser("diverge", help="blow-up experiment from a config file", parents=common)
-    p.add_argument("--config", required=True, help="flat key = value config file")
-    p.add_argument("--p", type=float, default=None, help="override the config's p")
-    p.add_argument("--family", default=None, help="override the config's family")
-    p.set_defaults(func=_cmd_diverge)
+    p = command("diverge", _cmd_diverge, "blow-up experiment from a config file")
+    p.add_argument("--config", required=True, help="flat key = value config file: the experiment")
 
-    p = subs.add_parser("monitor", help="bounded-regime ratio monitor", parents=common)
-    p.add_argument("--f", default="rand")
+    p = command("monitor", _cmd_monitor, "bounded-regime ratio monitor", grid=True, spec="rand")
     p.add_argument("--family", default="fejer")
     p.add_argument("--p", type=float, default=1.0)
-    p.set_defaults(func=_cmd_monitor)
 
     return parser
-
-
-# subcommands that set their own resolution and refuse --n
-_TAKES_NO_N = ("kappa", "lemma2", "diverge")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.n is not None and args.command in _TAKES_NO_N:
-            raise ConfigError(f"{args.command} takes no --n")
         columns, rows, meta, status = args.func(args)
         meta = {"command": args.command, "version": __version__} | meta
         _emit(args, columns, rows, meta)

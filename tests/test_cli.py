@@ -266,15 +266,6 @@ def test_diverge_csv_and_json_carry_identical_values(tmp_path, capsys):
                 assert int(cell) == jv
 
 
-def test_diverge_family_flag_overrides_the_config(capsys):
-    code, out, _ = run(
-        capsys, "diverge", "--config", f"{REPRO}/log_p075.cfg",
-        "--family", "cesaro:0.25", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["meta"]["family"] == "cesaro:0.25"
-
-
 def test_diverge_non_convex_family_fails_the_structure_screen(tmp_path, capsys):
     # vlog:1.9 has a positive kernel floor but a non-convex head
     assert walshlab.kappa(walshlab.parse_family("vlog:1.9")).kappa > 0
@@ -287,19 +278,29 @@ def test_diverge_non_convex_family_fails_the_structure_screen(tmp_path, capsys):
     assert "fails the structure screen" in err
 
 
-def test_diverge_refuses_an_unknown_format_before_the_run(tmp_path, capsys):
-    cfg = tmp_path / "xml.cfg"
-    cfg.write_text("family = log\np = 0.75\nalphas = 1,2\nformat = xml\n")
-    code, out, err = run(capsys, "diverge", "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err == "config error: unknown output format 'xml'\n"
+def test_diverge_refuses_an_unknown_format_before_the_run(tmp_path, monkeypatch, capsys):
+    # the output is set by flags alone: a config's format or out key is unknown
+    ran = []
+    monkeypatch.setattr(cli, "divergence_experiment", ran.append)
+    out_path = tmp_path / "rows.json"
+    for extra, keys in (
+        ("format = xml\n", "format"),
+        (f"format = json\nout = {out_path}\n", "format, out"),
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = log\np = 0.75\nalphas = 1,2\n" + extra)
+        code, out, err = run(capsys, "diverge", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: unknown config keys: {keys}\n"
+    assert ran == []
+    assert not out_path.exists()
 
 
-def test_diverge_hypothesis_violation_is_config_error(capsys):
-    code, _, err = run(
-        capsys, "diverge", "--config", f"{REPRO}/cesaro025_p07.cfg", "--p", "0.9"
-    )
+def test_diverge_hypothesis_violation_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "p09.cfg"
+    cfg.write_text((REPRO / "cesaro025_p07.cfg").read_text().replace("\np = 0.7\n", "\np = 0.9\n"))
+    code, _, err = run(capsys, "diverge", "--config", str(cfg))
     assert code == 2
     assert "hypothesis violated" in err
 
@@ -403,19 +404,6 @@ def test_diverge_failed_verdict_exit_code(tmp_path, monkeypatch, capsys):
     assert "ratios_strictly_increasing=false" in err
 
 
-def test_diverge_honors_config_format_and_out(tmp_path, capsys):
-    out_path = tmp_path / "rows.json"
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        f"family = log\np = 0.75\nalphas = 1,2\nformat = json\nout = {out_path}\n"
-    )
-    code, out, _ = run(capsys, "diverge", "--config", str(cfg))
-    assert code == 0
-    assert out == ""
-    payload = json.loads(out_path.read_text())
-    assert len(payload["rows"]) == 2
-
-
 # --- monitor ----------------------------------------------------------------
 
 
@@ -450,6 +438,14 @@ def test_kernels_dirichlet_column(capsys):
     assert [r[1] for r in rows] == ["4", "0", "0", "0", "4", "0", "0", "0"]
 
 
+def test_kernels_block_family_defaults_to_log(capsys):
+    code, default, _ = run(capsys, "kernels", "--n", "6", "--block", "2")
+    assert code == 0
+    code, log, _ = run(capsys, "kernels", "--n", "6", "--block", "2", "--family", "log")
+    assert code == 0
+    assert default == log
+
+
 def test_mean_of_constant_is_constant(capsys):
     code, out, _ = run(capsys, "mean", "--f", "const:2", "--family", "log", "--n", "3")
     assert code == 0
@@ -471,11 +467,12 @@ def test_mean_of_constant_is_constant(capsys):
         (("kappa", "--out", "{tmp}/missing/rows.csv"), "No such file"),
         (("transform", "--n", "3", "--format", "json", "--out", "{tmp}/missing/rows.json"),
          "No such file"),
-        (("lemma2", "--family", "log", "--alphas", "3", "--n", "7"), "lemma2 takes no --n"),
+        (("kernels", "--n", "3", "--order", "2", "--family", "log"),
+         "--family applies only with --block"),
         (("monitor", "--n", "4", "--p", "inf"), "p must be finite"),
-        (("diverge", "--config", "{tmp}/missing.cfg", "--n", "3"), "diverge takes no --n"),
-        (("kappa", "--n", "99"), "kappa takes no --n"),
-        (("diverge", "--config", f"{REPRO}/log_p075.cfg", "--p", "0.005"),
+        (("mean", "--n", "3", "--order", "9"), "mean order 9 out of range (1..8)"),
+        (("kappa", "log", "bogus"), "unknown weight family 'bogus'"),
+        (("diverge", "--config", "{tmp}/p0005.cfg"),
          "block height 2^(2 a (1/p - 1)) overflows"),
         (("transform", "--f", "dirichlet:x", "--n", "4"), "bad kernel order 'x'"),
         (("transform", "--f", "dirichlet:0", "--n", "4"), "Dirichlet order 0 out of range"),
@@ -485,21 +482,59 @@ def test_mean_of_constant_is_constant(capsys):
         (("transform", "--f", "walsh:x", "--n", "3"), "bad character index 'x'"),
         (("transform", "--f", "const:x", "--n", "3"), "bad constant 'x'"),
         (("transform", "--f", "file:{tmp}/missing.txt", "--n", "3"), "cannot read"),
-        (("transform", "--f", "rand"), "needs --n"),
+        (("lemma2", "--family", "cesaro:2", "--alphas", "1"), "cesaro order must lie in (0, 1)"),
         (("transform", "--n", "3", "--inverse", "--f", "rand"), "--inverse needs --f file:PATH"),
-        (("kernels", "--n", "3"), "kernels needs --order N"),
+        (("kernels", "--n", "3", "--order", "9"), "Dirichlet order 9 out of range (1..8)"),
         (("diverge", "--config", "{tmp}/missing.cfg"), "cannot read"),
         (("lemma2", "--family", "log", "--alphas", "1..x"), "bad exponent range '1..x'"),
         (("lemma2", "--family", "log", "--alphas", "3..2"), "empty exponent range '3..2'"),
         (("lemma2", "--family", "log", "--alphas", "1,x"), "bad exponent list '1,x'"),
         (("lemma2", "--family", "log", "--alphas", " , "), "empty exponent list"),
+        (("transform", "--f", "rand:junk", "--n", "2"), "rand takes no argument, got 'junk'"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):
+    # a case's id carries its place in the list: a case that leaves gives its
+    # place to a new one, and new cases go at the end
+    (tmp_path / "p0005.cfg").write_text(
+        (REPRO / "log_p075.cfg").read_text().replace("p = 0.75", "p = 0.005")
+    )
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("config error: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lemma2", "--family", "log", "--alphas", "3", "--n", "7"),
+        ("diverge", "--config", f"{REPRO}/log_p075.cfg", "--n", "3"),
+        ("kappa", "--n", "99"),
+        ("transform", "--f", "rand"),
+        ("kernels", "--n", "3"),
+        ("kernels", "--n", "3", "--order", "2", "--block", "1"),
+        ("kappa", "--seed", "5"),
+        ("lemma2", "--family", "log", "--alphas", "1", "--seed", "5"),
+        ("diverge", "--config", f"{REPRO}/log_p075.cfg", "--seed", "5"),
+        ("kernels", "--n", "3", "--order", "2", "--seed", "5"),
+        ("diverge", "--config", f"{REPRO}/log_p075.cfg", "--p", "0.9"),
+        ("diverge", "--config", f"{REPRO}/log_p075.cfg", "--family", "cesaro:0.25"),
+        ("diverge", "--config", f"{REPRO}/log_p075.cfg", "--form", "json"),
+        ("monitor", "--n", "4", "--fam", "log"),
+    ],
+    ids=["lemma2-n", "diverge-n", "kappa-n", "transform-no-n", "kernels-no-mode",
+         "kernels-both-modes", "kappa-seed", "lemma2-seed", "diverge-seed", "kernels-seed",
+         "diverge-p", "diverge-family", "format-prefix", "family-prefix"],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
+    # argparse refuses them before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err
 
 
 @pytest.mark.parametrize(
