@@ -14,6 +14,23 @@ positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
 size of f when p is small enough; the experiment here measures both
 sides row by row.
+
+The experiment folds each row's mean block by block.  With n =
+2^(2a_k+1), the multiplier spectrum of t_n f_k is c_e * Q_(n-j)/Q_n on
+block e's indices j in [B, 2B), B = 4^(a_e), and zero elsewhere.  The
+synthesis butterfly runs strides 1, 2, 4, ... over the whole grid.  Its
+strides below B act on aligned runs of B cells, so on [B, 2B) they are
+the 2a_e-bit synthesis F_e of that block's coefficients, and on [0, B)
+they act on what the earlier blocks left there.  Stride B then turns the
+pair into [G + F_e, G - F_e].  The strides from 2B up to the next block
+pair G with cells that are still zero, so each only tiles G, since
+x + 0 = x - 0 = x.  So the mean is G folded from the zero cell at 0 by
+G <- [tile(G) + F_e, tile(G) - F_e] for e = 0..k, with the same IEEE
+additions as the full synthesis, operand for operand.  Its magnitudes are
+the full synthesis's bit for bit.  Only the sign of a zero can differ:
+-0.0 + 0.0 is +0.0 where the tiled copy keeps -0.0.  Every column reads
+|t_n f_k|, so the report is unchanged, and no row lays out the zero
+quarter of its spectrum or synthesizes the 2^(2a_k+1)-cell grid whole.
 """
 
 from __future__ import annotations
@@ -26,7 +43,7 @@ import numpy as np
 from .dyadic import DyadicFunction, Resolution, quarter_cell_min
 from .errors import DegreeError, PreconditionError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
-from .transform import WalshSpectrum, fwht_forward
+from .transform import WalshSpectrum, fwht_forward, synthesize_in_place
 from .weights import (
     WeightFamily,
     kappa,
@@ -226,22 +243,47 @@ def _theory_constant(cfg: CounterexampleConfig, kap: float) -> float:
     return 0.25 ** (1.0 / cfg.p) * 0.125 * min(brackets)
 
 
+def _row_mean(cfg: CounterexampleConfig, k: int) -> DyadicFunction:
+    """t_n f_k at n = 2^(2a_k+1), folded block by block (module
+    docstring); |values| equals the multiplier mean's bit for bit."""
+    n = 2 << (2 * cfg.alphas[k])
+    Q = cfg.weights.Q_array(n)
+    mean = np.zeros(1)
+    for e in range(k + 1):
+        size = 1 << (2 * cfg.alphas[e])
+        # block e's multipliers Q_(n-j)/Q_n at j = size .. 2 size - 1
+        coeffs = np.divide(Q[n - size : n - 2 * size : -1], Q[n])
+        coeffs *= cfg.block_height(e) * cfg.block_weight(e)
+        block = synthesize_in_place(Resolution(2 * cfg.alphas[e]), coeffs).values
+        folded = np.empty(2 * size)
+        top, bottom = folded[:size], folded[size:]
+        np.copyto(top.reshape(-1, mean.size), mean)
+        np.subtract(top, block, out=bottom)
+        top += block
+        mean = folded
+    return DyadicFunction.adopt(Resolution(2 * cfg.alphas[k] + 1), mean)
+
+
 def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     """Run the blow-up measurement block by block.
 
     Row k lives at the smallest resolution resolving block k (2a_k + 1
-    bits).  Its input is the first 2^(2a_k+1) coefficients of the
-    closed-form martingale_spectrum, which are exactly the spectrum of the
-    prefix martingale f_k (later blocks start above that index).  The
-    measured columns are the exact weak-L_p size of the mean
-    t_(2^(2a_k+1)) f_k, the measured minimum of |t f_k| on the quarter
-    cell, and the provable floor scaled into the theory_bound column.
-    hardy_estimate is the Hardy size of the newest scaled block
-    a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
-    function is a single plateau; test_hardy_norm_of_single_block_is_its_weight
-    measures it with hardy_norm_estimate.  Divergence shows up as strict
-    growth of weak_lp_value / hardy_estimate, the weak size of the mean
-    against the Hardy cost of the block that produced it.
+    bits).  Its input is the prefix martingale f_k, whose spectrum is the
+    first 2^(2a_k+1) coefficients of the closed-form martingale_spectrum
+    (later blocks start above that index).  The mean t_(2^(2a_k+1)) f_k
+    is folded from the blocks of f_k, one 2a_e-bit synthesis per block
+    e <= k, as the module docstring describes; its magnitudes are those
+    of norlund_mean_multiplier on the prefix spectrum, bit for bit, and
+    only the sign of a zero can differ, which no column reads.  The
+    measured columns are the exact weak-L_p size of the mean, the
+    measured minimum of |t f_k| on the quarter cell, and the provable
+    floor scaled into the theory_bound column.  hardy_estimate is the
+    Hardy size of the newest scaled block a_k^(-1/2) * atom_k, which is
+    exactly a_k^(-1/2) because its maximal function is a single plateau;
+    test_hardy_norm_of_single_block_is_its_weight measures it with
+    hardy_norm_estimate.  Divergence shows up as strict growth of
+    weak_lp_value / hardy_estimate, the weak size of the mean against
+    the Hardy cost of the block that produced it.
     """
     w = cfg.weights
     # Resolution refuses a schedule past the bit cap before Q is grown
@@ -255,17 +297,13 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     kap = kappa(w).kappa
     c_theory = _theory_constant(cfg, kap)
     measure_factor = 0.25 ** (1.0 / cfg.p)
-    coeffs = martingale_spectrum(cfg, widest).coefficients
 
     rows = []
     floors_hold = True
     weak_consistent = True
     for k in range(cfg.K):
         a = cfg.alphas[k]
-        bits = 2 * a + 1
-        resolution = Resolution(bits)
-        prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
-        mean = norlund_mean_multiplier(prefix, resolution.size, w)
+        mean = _row_mean(cfg, k)
         floor_measured = quarter_cell_min(mean)
         weak_value = weak_lp(mean, cfg.p).value
         theory = (
@@ -274,7 +312,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
             / a ** (cfg.beta_exp + 1.0)
         )
         rows.append(
-            DivergenceRow(k, bits, weak_value, floor_measured, theory, cfg.block_weight(k))
+            DivergenceRow(k, 2 * a + 1, weak_value, floor_measured, theory, cfg.block_weight(k))
         )
         if floor_measured < guaranteed_floor(cfg, k) - _FLOOR_TOL:
             floors_hold = False

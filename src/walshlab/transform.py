@@ -96,13 +96,21 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
 # contiguous one of the same size (numpy 2.4).  No pass here casts, so
 # none needs the buffer: the butterfly sets numpy's smallest, 16 elements,
 # for its own ufunc calls.
+#
+# A grid below _SMALL cells sits in L1 whole, and there the tiles' copies
+# and the buffer switch cost more than they save (1.6-3x at 1-10 bits on
+# a 2-vCPU x86-64 VM), so it runs whole-array passes instead.
 _BLOCK = 1 << 16
+_SMALL = 1 << 11
 
 
 def _butterfly(a: np.ndarray) -> None:
     # In-place Walsh-Hadamard butterflies over bit strides 1, 2, 4, ...;
     # natural order in equals Paley order out, no reindexing needed.
     size = a.shape[0]
+    if size < _SMALL:
+        _strides(a, 1, size, np.empty(size // 2))
+        return
     block = min(size, _BLOCK)
     run = 1 << (block.bit_length() - 1) // 2
     rows = block // (2 * run)

@@ -9,8 +9,10 @@ window's coefficients, where the package's block_kernel writes only the
 block window's; atom_block and build_martingale sum the martingale from
 dirichlet_by_blocks kernels, where the package synthesizes its
 closed-form spectrum.  maximal_by_rank maxes each rank's averages into
-the whole grid, where the package folds them coarse to fine.  emit_text
-is the CLI's table encoder written cell by cell.
+the whole grid, where the package folds them coarse to fine.
+weak_lp_every_chunk evaluates every chunk of sorted products, where the
+package skips the chunks whose bound cannot raise the maximum.
+emit_text is the CLI's table encoder written cell by cell.
 """
 
 import csv
@@ -30,6 +32,8 @@ from walshlab import (
     synthesize_in_place,
 )
 from walshlab.errors import DegreeError
+
+_CHUNK = 1 << 16
 
 
 def sign_table(n: int, size: int) -> np.ndarray:
@@ -156,6 +160,23 @@ def maximal_by_rank(f: DyadicFunction) -> DyadicFunction:
         periods = best.reshape(-1, level.size)
         np.maximum(periods, np.abs(level), out=periods)
     return DyadicFunction.adopt(f.resolution, best)
+
+
+def weak_lp_every_chunk(f: DyadicFunction, p: float) -> float:
+    """The weak-L_p size with the sorted products m_i * ((M - i)/M)^(1/p)
+    evaluated in every 2^16-cell chunk.  The library's pruned evaluation
+    must match it bit for bit."""
+    magnitudes = np.abs(f.values)
+    magnitudes.sort()
+    total = magnitudes.size
+    best = 0.0
+    for start in range(0, total, _CHUNK):
+        tail = np.arange(total - start, max(total - start - _CHUNK, 0), -1, dtype=np.float64)
+        tail /= total
+        tail **= 1.0 / p
+        tail *= magnitudes[start : start + _CHUNK]
+        best = max(best, float(tail.max()))
+    return best
 
 
 def _float_text(v, full: bool) -> str:

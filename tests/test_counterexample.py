@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import walshlab.counterexample
+from walshlab.counterexample import _row_mean
 from walshlab import (
     CounterexampleConfig,
     DyadicFunction,
     Resolution,
+    WalshSpectrum,
     WeightFamily,
     bounded_case_monitor,
     divergence_experiment,
@@ -28,6 +30,7 @@ from walshlab import (
     martingale_spectrum,
     norlund_mean_multiplier,
     parse_family,
+    quarter_cell_min,
     weak_lp,
 )
 from walshlab.errors import DegreeError, PreconditionError
@@ -212,6 +215,26 @@ def test_divergence_row_matches_literal_mean():
         assert weak_lp(t, cfg.p).value == pytest.approx(row.weak_lp_value, rel=1e-12)
         on_cell = np.abs(t.values[3::4])  # the quarter cell: indices = 3 mod 4
         assert on_cell.min() == pytest.approx(row.pointwise_floor, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.6, 0.75])
+@pytest.mark.parametrize("label", ["log", "cesaro:0.25", "ualpha:0.3", "vlog"])
+def test_folded_row_means_match_the_multiplier_route(label, p):
+    # the block-by-block fold has the magnitudes of the full-grid
+    # multiplier mean of the prefix spectrum bit for bit, so every row
+    # reports the multiplier route's columns exactly
+    w = parse_family(label)
+    for alphas in ((1,), (1, 3, 6), (2, 5), tuple(range(1, 9))):
+        cfg = CounterexampleConfig(p=p, weights=w, alphas=alphas)
+        coeffs = martingale_spectrum(cfg, Resolution(cfg.required_bits)).coefficients
+        rows = divergence_experiment(cfg).rows
+        for k, a in enumerate(alphas):
+            r = Resolution(2 * a + 1)
+            expect = norlund_mean_multiplier(WalshSpectrum(r, coeffs[: r.size]), r.size, w)
+            got = _row_mean(cfg, k)
+            assert np.array_equal(np.abs(got.values), np.abs(expect.values)), (alphas, k)
+            assert rows[k].weak_lp_value == weak_lp(expect, p).value
+            assert rows[k].pointwise_floor == quarter_cell_min(expect)
 
 
 def test_measured_floor_beats_guaranteed_floor():

@@ -17,10 +17,12 @@ import pytest
 
 import walshlab.cli as cli
 from walshlab import (
+    CounterexampleConfig,
     DyadicFunction,
     Resolution,
     WeightFamily,
     dirichlet_kernel,
+    divergence_experiment,
     fwht_forward,
     fwht_inverse,
     kernel_lower_bound_check,
@@ -90,6 +92,17 @@ def test_maximal_function_peaks_at_most_1_6_arrays():
     array_bytes = 8 * f.resolution.size
     peak = traced_peak(lambda: maximal_function(f))
     assert peak <= 1.6 * array_bytes, peak / array_bytes
+
+
+def test_divergence_experiment_peaks_at_most_2_6_arrays():
+    # the last row holds its folded mean beside weak_lp's sorted copy of
+    # it; no row lays out the widest spectrum or a zero-padded multiplier
+    w = WeightFamily.logarithmic()
+    cfg = CounterexampleConfig(p=0.75, weights=w, alphas=(1, 3, 5, 7, 9))
+    array_bytes = 8 << cfg.required_bits
+    w.Q_array(1 << cfg.required_bits)
+    peak = traced_peak(lambda: divergence_experiment(cfg))
+    assert peak <= 2.6 * array_bytes, peak / array_bytes
 
 
 def test_weight_cache_holds_only_the_prefix_sums():

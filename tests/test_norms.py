@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import maximal_by_rank
+from oracles import maximal_by_rank, weak_lp_every_chunk
 from walshlab import (
     DyadicFunction,
     Resolution,
@@ -132,6 +132,38 @@ def test_chebyshev_weak_below_strong(seed, p):
     r = Resolution(5)
     f = DyadicFunction(r, rng.standard_normal(r.size))
     assert weak_lp(f, p).value <= lp_quasinorm(f, p).value + 1e-12
+
+
+def weak_lp_input(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(size)
+    if kind == "ties":  # few levels, each repeated, and many zeros
+        values = rng.choice([-3.0, -1.0, 0.5, 1.0, 2.0, 3.0], size=size)
+        values[rng.random(size) < 0.5] = 0.0
+        return values
+    if kind == "zeros":
+        return np.zeros(size)
+    if kind == "constant":
+        return np.full(size, -rng.exponential())
+    if kind == "spikes":  # the maximum sits in the last chunk of the sort
+        values = rng.standard_normal(size) * 1e-3
+        values[rng.integers(0, size, 3)] = 1e3
+        return values
+    return rng.standard_normal(size) * np.exp(5.0 * rng.standard_normal(size))  # "spread"
+
+
+@given(
+    st.sampled_from([1, 2, 15, 16, 17, 18]),
+    st.sampled_from(["normal", "ties", "zeros", "constant", "spikes", "spread"]),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.2, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_weak_lp_is_bit_identical_to_every_chunk(bits, kind, seed, p):
+    # sizes 2^15..2^18 put the grid below, at and across the 2^16-cell chunk
+    r = Resolution(bits)
+    f = DyadicFunction(r, weak_lp_input(kind, r.size, np.random.default_rng(seed)))
+    assert weak_lp(f, p).value == weak_lp_every_chunk(f, p)
 
 
 def maximal_oracle(values: np.ndarray, bits: int) -> np.ndarray:

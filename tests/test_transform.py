@@ -94,9 +94,10 @@ def test_transform_pair_exact_on_integer_inputs():
 @pytest.mark.parametrize("bits", [*range(1, 19), 20])
 @pytest.mark.parametrize("kind", ["random", "integer"])
 def test_blocked_butterfly_matches_whole_array_passes(bits, kind):
-    # the butterfly runs its short strides on transposed tiles, whose shape
-    # depends on the bit count, and above 16 bits in cache-sized chunks; it
-    # must still perform exactly the additions of whole-array passes
+    # from 11 bits the butterfly runs its short strides on transposed
+    # tiles, whose shape depends on the bit count, and above 16 bits in
+    # cache-sized chunks; it must still perform exactly the additions of
+    # whole-array passes, which it runs below 11 bits
     r = Resolution(bits)
     rng = np.random.default_rng(bits)
     if kind == "random":
