@@ -21,7 +21,7 @@ from walshlab import (
 
 def sweep(w: WeightFamily, exps: range) -> None:
     floor = kappa(w).kappa
-    mins = [kernel_lower_bound_check(w, a).min_abs_kernel for a in exps]
+    mins = [rep.min_abs_kernel for rep in kernel_lower_bound_check(w, exps)]
     verdict = "holds" if all(m >= floor - 1e-12 for m in mins) else "FAILS"
     print(
         f"  {w.label:<12} kappa = {floor:.6f}   "
@@ -40,9 +40,9 @@ def main() -> None:
     ]:
         sweep(w, range(1, 7))
 
-    print("\nthe floor is tight for the log family: at a = 1 the quarter-cell")
-    rep = kernel_lower_bound_check(WeightFamily.logarithmic(), 1)
-    print(f"minimum is {rep.min_abs_kernel} and kappa = {rep.kappa} exactly.")
+    print("\nfor the log family at a = 1 the quarter-cell minimum is q_1 - q_3")
+    (rep,) = kernel_lower_bound_check(WeightFamily.logarithmic(), [1])
+    print(f"= {rep.min_abs_kernel} exactly, twice kappa = {rep.kappa}.")
 
     c_thr = cesaro_kappa_threshold()
     print(f"\nCesaro sweep: kappa = alpha(2 - 3 alpha - alpha^2)/4 is positive")
@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\nFejer weights are the boundary case: kappa = 1 - 3/2 < 0, so the")
     print("floor claims nothing and the check passes vacuously:")
-    rep = kernel_lower_bound_check(WeightFamily.fejer(), 2)
+    (rep,) = kernel_lower_bound_check(WeightFamily.fejer(), [2])
     print(f"  fejer a=2: min = {rep.min_abs_kernel:.6f}, kappa = {rep.kappa}, "
           f"passed = {rep.passed}")
 

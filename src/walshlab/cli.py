@@ -404,16 +404,11 @@ def _cmd_kappa(args: argparse.Namespace) -> _Table:
 
 def _cmd_lemma2(args: argparse.Namespace) -> _Table:
     w = parse_family(args.family)
-    exponents = _parse_alphas(args.alphas)
-    # grow the weight cache once, for the widest row
-    w.Q_array(1 << (2 * max(exponents)))
-    rows = []
-    for a in exponents:
-        rep = kernel_lower_bound_check(w, a)
-        rows.append(
-            (rep.family, rep.block_exp, rep.bits, rep.min_abs_kernel, rep.kappa,
-             rep.passed, rep.kappa <= 0.0)
-        )
+    rows = [
+        (rep.family, rep.block_exp, rep.bits, rep.min_abs_kernel, rep.kappa,
+         rep.passed, rep.kappa <= 0.0)
+        for rep in kernel_lower_bound_check(w, _parse_alphas(args.alphas))
+    ]
     passed = sum(1 for r in rows if r[5])
     kap = kappa(w).kappa
     _note(f"lemma2: {w.label}, kappa = {kap:.9g}, {passed}/{len(rows)} rows passed")

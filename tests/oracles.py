@@ -6,7 +6,9 @@ quantity.  dirichlet_by_blocks assembles a Dirichlet kernel in int64
 from its power-of-two blocks, where the package synthesizes unit
 coefficients with the butterfly.  kernel_sum lays out any kernel
 window's coefficients, where the package's block_kernel writes only the
-block window's; atom_block and build_martingale sum the martingale from
+block window's; quarter_cell_coset_from_Q reads the kernel check's
+coefficients from prefix sums, where the package takes differences of
+the weights; atom_block and build_martingale sum the martingale from
 dirichlet_by_blocks kernels, where the package synthesizes its
 closed-form spectrum.  maximal_by_rank maxes each rank's averages into
 the whole grid, where the package folds them coarse to fine.
@@ -123,6 +125,23 @@ def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> Dyadi
     if b > a:
         coeffs[a:b] = Q[1 : b - a + 1][::-1]
     return synthesize_in_place(resolution, coeffs)
+
+
+def quarter_cell_coset_from_Q(w: WeightFamily, a: int) -> np.ndarray:
+    """F_A on its quarter-cell coset, from differences of prefix sums.
+
+    Row m of the window tail e_i = Q_(A-i) holds e_(4m)..e_(4m+3), and
+    d_m = (e_(4m) - e_(4m+1)) - (e_(4m+2) - e_(4m+3)) is synthesized on
+    2a - 2 bits.  Bit for bit, these are the values block_kernel's
+    window takes on lane 3 of its quarter cell.
+    """
+    A = 1 << (2 * a)
+    lanes = w.Q_array(A)[A:0:-1].reshape(-1, 4)
+    d = np.subtract(lanes[:, 0], lanes[:, 1])
+    d -= np.subtract(lanes[:, 2], lanes[:, 3])
+    if a == 1:
+        return d  # one coefficient: the synthesis on 0 bits is d_0 itself
+    return synthesize_in_place(Resolution(2 * a - 2), d).values
 
 
 def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> DyadicFunction:

@@ -151,9 +151,8 @@ def test_criterion_4_kernel_lower_bound_reproduction():
     for w in families:
         floor = kappa(w).kappa
         assert floor > 0.0, w.label
-        for a in range(1, 7):
-            rep = kernel_lower_bound_check(w, a)
-            assert rep.min_abs_kernel >= floor - 1e-12, (w.label, a, rep)
+        for rep in kernel_lower_bound_check(w, range(1, 7)):
+            assert rep.min_abs_kernel >= floor - 1e-12, (w.label, rep)
             assert rep.passed
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

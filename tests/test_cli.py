@@ -187,7 +187,7 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
     # the largest exponent of a list is checked before any row runs, as a
     # range's is
     ran = []
-    monkeypatch.setattr(cli, "kernel_lower_bound_check", lambda w, a: ran.append(a))
+    monkeypatch.setattr(cli, "kernel_lower_bound_check", lambda w, exps: ran.extend(exps))
     code, out, err = run(capsys, "lemma2", "--family", "log", "--alphas", alphas)
     assert code == 4
     assert out == ""
@@ -199,16 +199,22 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
 
 
 def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
-    # one Q-sized generation for every row (the rest are the 4-term
-    # initial head, the 5-term structure head and kappa's weights)
-    sizes = []
+    # one generation of the widest row's weights for every row (the rest
+    # are the 4-term initial head, the 5-term structure head and kappa's
+    # weights), and no prefix sums past the initial head Q_0..Q_4
+    sizes, sums = [], []
     generate = walshlab.WeightFamily._generate
+    ensure = walshlab.WeightFamily._ensure
     monkeypatch.setattr(
         walshlab.WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+    )
+    monkeypatch.setattr(
+        walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)
     )
     code, _, err = run(capsys, "lemma2", "--family", "log", "--alphas", "1..5")
     assert code == 0, err
     assert [s for s in sizes if s > 5] == [1 << 10], sizes
+    assert max(sums) == 4, sums
 
 
 def test_lemma2_too_few_custom_weights_is_config_error(tmp_path, capsys):
@@ -224,8 +230,8 @@ def test_lemma2_assertion_failure_exit_code(monkeypatch, capsys):
     # exit-code plumbing for a failed hard bound, via a stubbed report
     from walshlab.kernel_checks import KernelBoundReport
 
-    def fake_check(w, a):
-        return KernelBoundReport(w.label, a, 3, 0.01, 0.125, False)
+    def fake_check(w, exps):
+        return [KernelBoundReport(w.label, a, 3, 0.01, 0.125, False) for a in exps]
 
     monkeypatch.setattr(cli, "kernel_lower_bound_check", fake_check)
     code, _, _ = run(capsys, "lemma2", "--family", "log", "--alphas", "1")

@@ -1,5 +1,7 @@
 """Kernel lower bound reports and the quarter-cell facts behind them."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,14 +19,14 @@ from walshlab import (
     quarter_cell_min,
     walsh_function,
 )
-from walshlab.errors import DegreeError, PreconditionError, WalshLabError
+from walshlab.errors import DegreeError, PreconditionError, ResourceCapError, WalshLabError
 from walshlab.kernel_checks import _quarter_cell_coset
 
-from oracles import kernel_sum
+from oracles import kernel_sum, quarter_cell_coset_from_Q
 
 
 def test_log_block_one_minimum_is_exactly_quarter():
-    rep = kernel_lower_bound_check(WeightFamily.logarithmic(), 1)
+    (rep,) = kernel_lower_bound_check(WeightFamily.logarithmic(), [1])
     assert rep.bits == 3
     assert rep.min_abs_kernel == pytest.approx(0.25, abs=1e-15)
     assert rep.kappa == pytest.approx(0.125, abs=1e-15)
@@ -32,22 +34,22 @@ def test_log_block_one_minimum_is_exactly_quarter():
 
 
 def test_log_blocks_up_to_four_pass():
-    for a in (1, 2, 3, 4):
-        rep = kernel_lower_bound_check(WeightFamily.logarithmic(), a)
+    reports = kernel_lower_bound_check(WeightFamily.logarithmic(), (1, 2, 3, 4))
+    assert [rep.block_exp for rep in reports] == [1, 2, 3, 4]
+    for rep in reports:
         assert rep.passed, rep
 
 
 def test_cesaro_half_blocks_pass_with_kappa_margin():
     w = WeightFamily.cesaro(0.5)
     assert kappa(w).kappa == pytest.approx(0.03125, abs=1e-15)
-    for a in (1, 2, 3):
-        rep = kernel_lower_bound_check(w, a)
+    for rep in kernel_lower_bound_check(w, (1, 2, 3)):
         assert rep.min_abs_kernel >= 0.03125 - 1e-12
         assert rep.passed
 
 
 def test_fejer_passes_vacuously():
-    rep = kernel_lower_bound_check(WeightFamily.fejer(), 2)
+    (rep,) = kernel_lower_bound_check(WeightFamily.fejer(), [2])
     assert rep.kappa == pytest.approx(-0.5, abs=0)
     assert rep.passed  # a negative floor claims nothing
 
@@ -56,8 +58,8 @@ def test_minimum_independent_of_resolution():
     # the windowed kernel has degree < 2^(2a+1), so refining the grid
     # cannot change its minimum on the cell
     w = WeightFamily.logarithmic()
-    for a in (1, 2):
-        at_min = kernel_lower_bound_check(w, a).min_abs_kernel
+    for a, rep in zip((1, 2), kernel_lower_bound_check(w, (1, 2))):
+        at_min = rep.min_abs_kernel
         refined = kernel_sum(w, 1 << (2 * a), 1 << (2 * a + 1), Resolution(2 * a + 3))
         assert at_min == pytest.approx(np.abs(refined.values[3::4]).min(), rel=1e-14)
 
@@ -65,12 +67,16 @@ def test_minimum_independent_of_resolution():
 def test_structure_violation_is_rejected():
     increasing = WeightFamily.custom([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0])
     with pytest.raises(PreconditionError):
-        kernel_lower_bound_check(increasing, 1)
+        kernel_lower_bound_check(increasing, [1])
 
 
 def test_bad_block_exponent():
-    with pytest.raises(ValueError):
-        kernel_lower_bound_check(WeightFamily.logarithmic(), 0)
+    for exps in ([0], [2, 0], []):
+        with pytest.raises(ValueError):
+            kernel_lower_bound_check(WeightFamily.logarithmic(), exps)
+    # the widest window is refused by the grid cap before a weight is made
+    with pytest.raises(ResourceCapError):
+        kernel_lower_bound_check(WeightFamily.logarithmic(), [1, 12])
     with pytest.raises(ValueError):
         block_kernel(WeightFamily.logarithmic(), 3, Resolution(6))
     with pytest.raises(ValueError):
@@ -105,16 +111,104 @@ def test_block_kernel_is_the_windowed_kernel_sum(label):
 @pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_quarter_cell_coset_is_the_window_bit_for_bit(label):
     # on the quarter cell the window is F_A where x_(2a) = 0 and -F_A
-    # where it is 1, and the check reads F_A's coset on 2a - 2 bits; the
+    # where it is 1: the coset read from prefix sums, as the window reads
+    # them, is the window's lane bit for bit.  The check reads the coset
+    # from the weights instead, so its minimum agrees to roundoff only
+    # (see test_quarter_cell_coset_is_near_the_exact_kernel).  The
     # structure screen at a = 9 reads q_0..q_(2^18 + 2)
     w = convex_custom((1 << 18) + 3) if label == "custom" else parse_family(label)
-    for a in range(1, 10):
+    reports = kernel_lower_bound_check(w, range(1, 10))
+    for a, rep in zip(range(1, 10), reports):
         window = block_kernel(w, a, Resolution(2 * a + 1))
-        assert kernel_lower_bound_check(w, a).min_abs_kernel == quarter_cell_min(window), a
         lanes = window.values[3::4]
-        coset = _quarter_cell_coset(w, a)
+        coset = quarter_cell_coset_from_Q(w, a)
         assert np.array_equal(coset, lanes[: coset.size]), a
         assert np.array_equal(-coset, lanes[coset.size :]), a
+        assert float(np.abs(coset).min()) == quarter_cell_min(window), a
+        assert rep.min_abs_kernel == pytest.approx(quarter_cell_min(window), rel=1e-7), a
+
+
+def coset_bound(a: int) -> float:
+    # one unit roundoff per coset cell: room for weights whose generation
+    # error grows with the index, as cesaro's running product does
+    return 2.0**-53 * (1 << (2 * a - 2))
+
+
+def butterfly(coefficients: np.ndarray) -> np.ndarray:
+    """sum_m c_m w_m at every cell, in the coefficients' own dtype."""
+    v = coefficients.copy()
+    h = 1
+    while h < v.size:
+        pairs = v.reshape(-1, 2, h)
+        lo = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = lo - pairs[:, 1]
+        h *= 2
+    return v
+
+
+def exact_coset(q: np.ndarray, a: int) -> np.ndarray:
+    # d_m = q_(A-4m-1) - q_(A-4m-3), synthesized in q's own dtype
+    A = 1 << (2 * a)
+    return butterfly(q[A - 1 :: -4] - q[A - 3 :: -4])
+
+
+def longdouble_weights(w: WeightFamily, count: int) -> np.ndarray:
+    # each built-in family's definition, evaluated in np.longdouble
+    j1 = np.arange(1, count + 1, dtype=np.longdouble)  # j + 1
+    order = np.longdouble(w.params[0]) if w.params else None
+    if w.kind == "log":
+        return 1 / j1
+    if w.kind == "ualpha":
+        return j1 ** (order - 1)
+    if w.kind == "cesaro":
+        factors = np.ones(count, dtype=np.longdouble)
+        factors[1:] = (j1[:-1] + order - 1) / j1[:-1]
+        return np.cumprod(factors)
+    assert w.kind == "vlog", w.kind
+    q = np.empty(count, dtype=np.longdouble)
+    q[0] = order
+    q[1:] = 1 / np.log(j1[1:])
+    return q
+
+
+def coset_error(coset: np.ndarray, exact: np.ndarray) -> float:
+    return float(np.abs(coset.astype(exact.dtype) - exact).max())
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_quarter_cell_coset_is_the_exact_log_kernel(a):
+    # the reference is exact: the log weights as rationals
+    A = 1 << (2 * a)
+    w = WeightFamily.logarithmic()
+    q = np.array([Fraction(1, j + 1) for j in range(A)], dtype=object)
+    exact = exact_coset(q, a)
+    coset = _quarter_cell_coset(w.q_array(A), a)
+    err = max(abs(Fraction(float(x)) - y) for x, y in zip(coset, exact))
+    assert err <= coset_bound(a), (a, float(err))
+
+
+LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+ACCURACY_LABELS = ["log", "cesaro:0.25", "ualpha:0.3", "vlog", "cesaro:0.8"]
+
+
+@pytest.mark.skipif(not LONGDOUBLE_IS_WIDER, reason="np.longdouble is float64 here")
+@pytest.mark.parametrize("label", ACCURACY_LABELS)
+def test_quarter_cell_coset_is_near_the_exact_kernel(label):
+    # differences of the weights keep the coset within the bound at every
+    # a; differences of prefix sums lose about eps Q_A per coefficient: at
+    # a = 10 that is 7.9e-9 (vlog) and 7.4e-9 (cesaro:0.8) against a
+    # bound of 2.9e-11
+    w = parse_family(label)
+    top = 10
+    q = longdouble_weights(w, 1 << (2 * top))
+    for a in range(6, top + 1):
+        exact = exact_coset(q, a)
+        coset = _quarter_cell_coset(w.q_array(1 << (2 * a)), a)
+        assert coset_error(coset, exact) <= coset_bound(a), (a, coset_error(coset, exact))
+    if label in ("vlog", "cesaro:0.8"):
+        # the bound is not vacuous: the prefix sums' route misses it
+        assert coset_error(quarter_cell_coset_from_Q(w, top), exact) > coset_bound(top)
 
 
 def telescoped_gap_sum(w: WeightFamily, a: int) -> tuple[float, float]:
@@ -160,7 +254,7 @@ def test_dirichlet_kernel_parity_on_quarter_cell():
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), 0), PreconditionError),
+        (lambda: kernel_lower_bound_check(WeightFamily.logarithmic(), [0]), PreconditionError),
         (
             lambda: block_kernel(WeightFamily.logarithmic(), 3, Resolution(3)),
             DegreeError,
