@@ -215,8 +215,9 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
     """Accept '1,2,3', '1 2 3', or a range '1..5'.
 
     The smallest exponent must be at least 1, and the largest exponent a
-    is checked against the grid cap, which its 2a+1-bit row must fit
-    under; both before any row runs and before a range is built."""
+    is checked against the weight horizon 2^MAX_RESOLUTION_BITS, which
+    the 4^a weights of its window must fit under; both before any row
+    runs and before a range is built."""
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
@@ -238,10 +239,10 @@ def _parse_alphas(text: str) -> tuple[int, ...]:
         lo, hi = min(exponents), max(exponents)
     if lo < 1:
         raise ConfigError(f"block exponents must be >= 1, got {lo}")
-    if 2 * hi + 1 > MAX_RESOLUTION_BITS:
+    if 2 * hi > MAX_RESOLUTION_BITS:
         raise ResourceCapError(
-            f"block exponent {hi} needs {2 * hi + 1} bits, more than the "
-            f"{MAX_RESOLUTION_BITS}-bit grid cap"
+            f"block exponent {hi} needs 2^{2 * hi} weights, more than the "
+            f"weight horizon 2^{MAX_RESOLUTION_BITS}"
         )
     return tuple(exponents)
 

@@ -14,23 +14,6 @@ positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
 size of f when p is small enough; the experiment here measures both
 sides row by row.
-
-The experiment folds each row's mean block by block.  With n =
-2^(2a_k+1), the multiplier spectrum of t_n f_k is c_e * Q_(n-j)/Q_n on
-block e's indices j in [B, 2B), B = 4^(a_e), and zero elsewhere.  The
-synthesis butterfly runs strides 1, 2, 4, ... over the whole grid.  Its
-strides below B act on aligned runs of B cells, so on [B, 2B) they are
-the 2a_e-bit synthesis F_e of that block's coefficients, and on [0, B)
-they act on what the earlier blocks left there.  Stride B then turns the
-pair into [G + F_e, G - F_e].  The strides from 2B up to the next block
-pair G with cells that are still zero, so each only tiles G, since
-x + 0 = x - 0 = x.  So the mean is G folded from the zero cell at 0 by
-G <- [tile(G) + F_e, tile(G) - F_e] for e = 0..k, with the same IEEE
-additions as the full synthesis, operand for operand.  Its magnitudes are
-the full synthesis's bit for bit.  Only the sign of a zero can differ:
--0.0 + 0.0 is +0.0 where the tiled copy keeps -0.0.  Every column reads
-|t_n f_k|, so the report is unchanged, and no row lays out the zero
-quarter of its spectrum or synthesizes the 2^(2a_k+1)-cell grid whole.
 """
 
 from __future__ import annotations
@@ -244,24 +227,17 @@ def _theory_constant(cfg: CounterexampleConfig, kap: float) -> float:
 
 
 def _row_mean(cfg: CounterexampleConfig, k: int) -> DyadicFunction:
-    """t_n f_k at n = 2^(2a_k+1), folded block by block (module
-    docstring); |values| equals the multiplier mean's bit for bit."""
+    """t_n f_k at n = 2^(2a_k+1): block e's coefficient scaled by
+    Q_(n-j)/Q_n on its indices j in [4^(a_e), 2 4^(a_e)), synthesized."""
     n = 2 << (2 * cfg.alphas[k])
     Q = cfg.weights.Q_array(n)
-    mean = np.zeros(1)
+    coeffs = np.zeros(n)
     for e in range(k + 1):
         size = 1 << (2 * cfg.alphas[e])
-        # block e's multipliers Q_(n-j)/Q_n at j = size .. 2 size - 1
-        coeffs = np.divide(Q[n - size : n - 2 * size : -1], Q[n])
-        coeffs *= cfg.block_height(e) * cfg.block_weight(e)
-        block = synthesize_in_place(Resolution(2 * cfg.alphas[e]), coeffs).values
-        folded = np.empty(2 * size)
-        top, bottom = folded[:size], folded[size:]
-        np.copyto(top.reshape(-1, mean.size), mean)
-        np.subtract(top, block, out=bottom)
-        top += block
-        mean = folded
-    return DyadicFunction.adopt(Resolution(2 * cfg.alphas[k] + 1), mean)
+        block = coeffs[size : 2 * size]
+        np.divide(Q[n - size : n - 2 * size : -1], Q[n], out=block)
+        block *= cfg.block_height(e) * cfg.block_weight(e)
+    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs)
 
 
 def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
@@ -271,10 +247,10 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     bits).  Its input is the prefix martingale f_k, whose spectrum is the
     first 2^(2a_k+1) coefficients of the closed-form martingale_spectrum
     (later blocks start above that index).  The mean t_(2^(2a_k+1)) f_k
-    is folded from the blocks of f_k, one 2a_e-bit synthesis per block
-    e <= k, as the module docstring describes; its magnitudes are those
-    of norlund_mean_multiplier on the prefix spectrum, bit for bit, and
-    only the sign of a zero can differ, which no column reads.  The
+    is one synthesis of the multiplier-scaled blocks of f_k, written
+    without laying out the prefix spectrum; it equals
+    norlund_mean_multiplier on that spectrum bit for bit, and the
+    butterfly copies across the zero gaps between blocks.  The
     measured columns are the exact weak-L_p size of the mean, the
     measured minimum of |t f_k| on the quarter cell, and the provable
     floor scaled into the theory_bound column.  hardy_estimate is the
@@ -345,9 +321,10 @@ def bounded_case_monitor(
     respect to the rank-n cells, so on the 2^N grid it is one 2^n-cell
     block repeated 2^(N-n) times.  Row n therefore synthesizes the mean
     from the first 2^max(n,1) coefficients at resolution max(n, 1).  The
-    cell values are bit-identical to the full-grid synthesis, whose
-    butterfly stages above stride 2^n only add zeros, and the L_p
-    quasi-norm, a mean over cells, is unchanged by the repetition.
+    cell values are bit-identical to the full-grid synthesis, which
+    only repeats them over the zero coefficients above 2^n
+    (x + 0 = x - 0 = x), and the L_p quasi-norm, a mean over cells, is
+    unchanged by the repetition.
     """
     hardy = hardy_norm_estimate(f, p).value
     if hardy == 0.0:

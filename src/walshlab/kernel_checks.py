@@ -105,11 +105,13 @@ def kernel_lower_bound_check(
 
     The kernel is a step function at rank 2a+1, so its minimum over the
     quarter cell of the 2a+1-bit grid is exact; each report's ``bits``
-    names that grid, which must fit under the resolution cap.  The
-    minimum is read from the 2^(2a-2) values of the Nörlund kernel F_A
-    on its quarter-cell coset, whose coefficients are differences of
-    the weights (see the module docstring).  The weights are generated
-    once, for the widest window, and each row reads their prefix.
+    names that grid.  The grid is never built, so it may pass the
+    resolution cap; the weights q_0..q_(4^a - 1) must fit under the
+    weight horizon.  The minimum is read from the 2^(2a-2) values of the
+    Nörlund kernel F_A on its quarter-cell coset, whose coefficients are
+    differences of the weights (see the module docstring).  The weights
+    are generated once, for the widest window, and each row reads their
+    prefix.
 
     Families failing the structure screen over the widest window's
     weights are rejected (for built-in families the screen reads only
@@ -119,9 +121,7 @@ def kernel_lower_bound_check(
     low = min(block_exps, default=None)
     if low is None or low < 1:
         raise PreconditionError(f"block exponents must be >= 1, got {low}")
-    top = max(block_exps)
-    Resolution(2 * top + 1)  # refuses a window past the grid cap
-    widest = 1 << (2 * top)
+    widest = 1 << (2 * max(block_exps))
     structure = validate_structure(w, widest + 2)
     if not structure.ok:
         raise PreconditionError(

@@ -82,14 +82,14 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
     return synthesize_in_place(resolution, coeffs)
 
 
-# Strides below _BLOCK run one _BLOCK-cell chunk at a time and wider
-# strides in runs of _BLOCK/2 columns, so each pass works in cache.  Inside
+# A grid of one _BLOCK-cell chunk or less runs its strides in cache.  Inside
 # a chunk of 2^b cells, the strides below run = 2^(b//2) stay within runs
 # of `run` contiguous cells; they run on half-chunk tiles copied out
 # transposed to (run, rows), where stride h becomes stride h * rows and no
-# inner loop is shorter than `rows`.  Every element still gets the same
-# additions in the same order as in a whole-array pass, so the output is
-# bit-identical to it.
+# inner loop is shorter than `rows`.  The wider strides of the chunk follow
+# in place.  A larger grid runs by halves (_halves).  Every element still
+# gets the same additions in the same order as in a whole-array pass, so
+# the output is bit-identical to it.
 #
 # numpy's ufunc loop runs a 2-D operand whose rows are shorter than half
 # its buffer (8192 elements by default) about three times slower than a
@@ -113,26 +113,46 @@ def _butterfly(a: np.ndarray) -> None:
         return
     block = min(size, _BLOCK)
     run = 1 << (block.bit_length() - 1) // 2
-    rows = block // (2 * run)
     # the tile doubles as the difference buffer of the in-place passes
-    tile = np.empty((run, rows))
-    flat = tile.reshape(-1)
-    diff = np.empty(flat.size // 2)
+    tile = np.empty((run, block // (2 * run)))
     with np.errstate():  # restores the buffer size on exit
         np.setbufsize(16)
-        for chunk in a.reshape(-1, block):
-            for piece in chunk.reshape(-1, rows, run):
-                np.copyto(tile, piece.T)
-                _strides(flat, rows, flat.size, diff)
-                np.copyto(piece, tile.T)
-            _strides(chunk, run, block, flat)
-        width = block // 2
-        h = block
-        while h < size:
-            for top, bottom in a.reshape(-1, 2, h):
-                for j in range(0, h, width):
-                    _pass(top[j : j + width], bottom[j : j + width], flat)
-            h *= 2
+        _halves(a, tile, np.empty(tile.size // 2))
+
+
+def _halves(a: np.ndarray, tile: np.ndarray, diff: np.ndarray) -> None:
+    # The butterfly of a, made of 2^k chunks of 2 * tile.size cells.  Above
+    # one chunk it runs the lower half, the upper half, then stride size/2
+    # across them.  The strides below size/2 act on each half alone, so
+    # every element meets the same operands in the same order as in
+    # whole-array passes.
+    #
+    # An all-zero upper half is not synthesized; the lower half is copied
+    # into it.  Its synthesis would be zeros, and stride size/2 pairs each
+    # lower value x with one: x + 0 = x - 0 = x.  An exact cancellation
+    # rounds to +0.0 and -0.0 arises only from -0.0 operands, so with no
+    # -0.0 in the input the copy is bit-identical.  A -0.0 input can only
+    # change the sign of a zero: -0.0 + 0.0 is +0.0 where the copy keeps
+    # -0.0.  The last element is read first, so the zero test is O(1) on
+    # dense data.
+    flat = tile.reshape(-1)
+    half = a.shape[0] // 2
+    if half == flat.size:
+        run, rows = tile.shape
+        for piece in a.reshape(-1, rows, run):
+            np.copyto(tile, piece.T)
+            _strides(flat, rows, flat.size, diff)
+            np.copyto(piece, tile.T)
+        _strides(a, run, a.shape[0], flat)
+        return
+    lower, upper = a[:half], a[half:]
+    _halves(lower, tile, diff)
+    if upper[-1] == 0.0 and not np.count_nonzero(upper):
+        np.copyto(upper, lower)
+        return
+    _halves(upper, tile, diff)
+    for j in range(0, half, flat.size):
+        _pass(lower[j : j + flat.size], upper[j : j + flat.size], flat)
 
 
 def _strides(x: np.ndarray, h: int, end: int, diff: np.ndarray) -> None:

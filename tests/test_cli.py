@@ -182,7 +182,7 @@ def test_lemma2_exponent_below_one_is_a_short_config_error(capsys, alphas, low):
     assert len(err) < 200, len(err)
 
 
-@pytest.mark.parametrize("alphas, top", [("11,12", 12), ("3,13", 13)])
+@pytest.mark.parametrize("alphas, top", [("12,13", 13), ("3,13", 13)])
 def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, top):
     # the largest exponent of a list is checked before any row runs, as a
     # range's is
@@ -193,8 +193,8 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
     assert out == ""
     assert ran == []
     assert err == (
-        f"resource cap: block exponent {top} needs {2 * top + 1} bits, "
-        "more than the 24-bit grid cap\n"
+        f"resource cap: block exponent {top} needs 2^{2 * top} weights, "
+        "more than the weight horizon 2^24\n"
     )
 
 
@@ -335,27 +335,29 @@ def test_diverge_overflowing_beta_exp_is_config_error(tmp_path, capsys):
 
 
 def test_diverge_oversized_schedule_is_a_short_resource_cap(tmp_path, capsys):
-    # the last block needs 3201 bits: refused before Q is grown to a
-    # horizon of 964 digits
+    # the last block needs 2^3200 weights: refused before Q is grown to
+    # a horizon of 964 digits
     cfg = tmp_path / "big.cfg"
     cfg.write_text("family = log\np = 0.1\nalphas = 3, 1600\n")
     code, out, err = run(capsys, "diverge", "--config", str(cfg))
     assert code == 4
     assert out == ""
-    assert err.startswith("resource cap: ") and "3201 bits" in err
+    assert err.startswith("resource cap: ") and "2^3200 weights" in err
     assert len(err) < 200, len(err)
 
 
 def test_diverge_over_cap_exponent_list_runs_no_row(tmp_path, monkeypatch, capsys):
+    # a = 12 fits the weight horizon, but its row needs a 25-bit grid,
+    # which the experiment refuses before any row runs
     ran = []
-    monkeypatch.setattr(cli, "divergence_experiment", ran.append)
+    monkeypatch.setattr(walshlab.counterexample, "_row_mean", lambda cfg, k: ran.append(k))
     cfg = tmp_path / "big.cfg"
     cfg.write_text("family = log\np = 0.75\nalphas = 3, 12\n")
     code, out, err = run(capsys, "diverge", "--config", str(cfg))
     assert code == 4
     assert out == ""
     assert ran == []
-    assert err.startswith("resource cap: block exponent 12 needs 25 bits")
+    assert err == "resource cap: resolution of 25 bits exceeds the cap of 24 (2^24 cells)\n"
 
 
 def test_diverge_huge_exponent_range_is_a_short_resource_cap(tmp_path, capsys):

@@ -74,9 +74,10 @@ def test_bad_block_exponent():
     for exps in ([0], [2, 0], []):
         with pytest.raises(ValueError):
             kernel_lower_bound_check(WeightFamily.logarithmic(), exps)
-    # the widest window is refused by the grid cap before a weight is made
+    # the widest window is refused by the weight horizon before a weight
+    # is made
     with pytest.raises(ResourceCapError):
-        kernel_lower_bound_check(WeightFamily.logarithmic(), [1, 12])
+        kernel_lower_bound_check(WeightFamily.logarithmic(), [1, 13])
     with pytest.raises(ValueError):
         block_kernel(WeightFamily.logarithmic(), 3, Resolution(6))
     with pytest.raises(ValueError):

@@ -97,8 +97,8 @@ def test_maximal_function_peaks_at_most_1_6_arrays():
 
 
 def test_divergence_experiment_peaks_at_most_2_6_arrays():
-    # the last row holds its folded mean beside weak_lp's sorted copy of
-    # it; no row lays out the widest spectrum or a zero-padded multiplier
+    # the last row holds its mean beside weak_lp's sorted copy of it; no
+    # row lays out the widest spectrum or a zero-padded multiplier
     w = WeightFamily.logarithmic()
     cfg = CounterexampleConfig(p=0.75, weights=w, alphas=(1, 3, 5, 7, 9))
     array_bytes = 8 << cfg.required_bits

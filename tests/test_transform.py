@@ -21,6 +21,7 @@ from walshlab import (
     synthesize_in_place,
     walsh_function,
 )
+from walshlab import transform
 from walshlab.errors import DegreeError
 
 from oracles import butterfly, dirichlet_by_blocks, partial_sum, sign_table
@@ -91,22 +92,60 @@ def test_transform_pair_exact_on_integer_inputs():
         assert np.array_equal(inverse, (W.T @ values).astype(np.float64)), bits
 
 
-@pytest.mark.parametrize("bits", [*range(1, 19), 20])
-@pytest.mark.parametrize("kind", ["random", "integer"])
-def test_blocked_butterfly_matches_whole_array_passes(bits, kind):
+@pytest.mark.parametrize(
+    "kind, bits",
+    [(kind, bits) for kind in ("random", "integer") for bits in (*range(1, 19), 20)]
+    + [(kind, bits) for kind in ("gapped", "negzero") for bits in range(17, 21)],
+)
+def test_blocked_butterfly_matches_whole_array_passes(kind, bits):
     # from 11 bits the butterfly runs its short strides on transposed
-    # tiles, whose shape depends on the bit count, and above 16 bits in
-    # cache-sized chunks; it must still perform exactly the additions of
-    # whole-array passes, which it runs below 11 bits
+    # tiles, whose shape depends on the bit count, and above 16 bits by
+    # halves, copying the lower half into an all-zero upper half; it must
+    # still perform exactly the additions of whole-array passes, which it
+    # runs below 11 bits
     r = Resolution(bits)
     rng = np.random.default_rng(bits)
-    if kind == "random":
-        values = rng.standard_normal(r.size)
-    else:
+    if kind == "integer":
         values = rng.integers(-1000, 1001, size=r.size).astype(np.float64)
+    else:
+        values = rng.standard_normal(r.size)
+    if kind in ("gapped", "negzero"):
+        # random 2^14-cell blocks between zero gaps, the last block a gap:
+        # some upper halves are all zero, and others end in a zero
+        blocks = values.reshape(-1, 1 << 14)
+        blocks[rng.random(len(blocks)) < 0.5] = 0.0
+        blocks[-1] = 0.0
+    if kind == "negzero":
+        zeros = np.flatnonzero(values == 0.0)
+        values[zeros[rng.random(zeros.size) < 0.5]] = -0.0
     expect = butterfly(values)
-    assert np.array_equal(fwht_inverse(WalshSpectrum(r, values)).values, expect)
-    assert np.array_equal(fwht_forward(DyadicFunction(r, values)).coefficients, expect / r.size)
+    got = fwht_inverse(WalshSpectrum(r, values)).values
+    forward = fwht_forward(DyadicFunction(r, values)).coefficients
+    if kind == "negzero":
+        # a -0.0 input may change the sign of a zero, and nothing else
+        assert np.array_equal(got, expect)
+        assert np.array_equal(forward, expect / r.size)
+    else:
+        assert got.tobytes() == expect.tobytes()
+        assert forward.tobytes() == (expect / r.size).tobytes()
+
+
+def test_sparse_synthesis_passes_stay_within_one_chunk(monkeypatch):
+    # D_(2^10) has coefficients only in the first 2^16-cell chunk of the
+    # 20-bit grid, so every upper half above it is all zero and copied:
+    # the passes touch no more cells than the 16 strides of that chunk
+    touched = []
+    run_pass = transform._pass
+
+    def counting_pass(top, bottom, diff):
+        touched.append(top.size + bottom.size)
+        run_pass(top, bottom, diff)
+
+    monkeypatch.setattr(transform, "_pass", counting_pass)
+    r = Resolution(20)
+    got = dirichlet_kernel(1 << 10, r).values.tobytes()
+    assert sum(touched) <= 16 << 16, sum(touched)
+    assert got == dirichlet_by_blocks(1 << 10, r).values.tobytes()
 
 
 def test_spectrum_constructor_copies_its_input():
