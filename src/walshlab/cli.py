@@ -10,10 +10,11 @@ Subcommands
     monitor     bounded-regime ratios for a function and weight family
 
 Each subcommand takes only the flags it reads, spelled out in full, and
-argparse refuses any other with exit 2.  Every one takes the output flags --out, --format and
---full-precision; --n goes with the grid commands (transform, kernels,
-mean, monitor), --seed with --f, and kernels --family only with --block.
-A diverge config holds the whole experiment and its flags only the output.
+argparse refuses any other with exit 2.  Every one takes the output flags
+--out, --format and --full-precision; --n goes with the grid commands
+(transform, kernels, mean, monitor), --seed only with --f rand, and
+kernels --family only with --block.  A diverge config holds the whole
+experiment and its flags only the output.
 
 Exit codes: 0 success, 2 config error (invalid input, or an --out path that
 cannot be written), 3 assertion failure, 4 resource cap.  All floats are
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -261,7 +263,7 @@ def _experiment_config(mapping: dict[str, str]) -> CounterexampleConfig:
     for key in ("family", "p", "alphas"):
         if key not in mapping:
             raise ConfigError(f"config is missing required key {key!r}")
-    known = {"family", "p", "alphas", "alpha_exp", "beta_exp", "c_const"}
+    known = {"family", "p", "alphas", "alpha_exp", "beta_exp"}
     unknown = sorted(set(mapping) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -273,7 +275,6 @@ def _experiment_config(mapping: dict[str, str]) -> CounterexampleConfig:
             alphas=_parse_alphas(mapping["alphas"]),
             alpha_exp=_get_float(mapping, "alpha_exp", 0.0),
             beta_exp=_get_float(mapping, "beta_exp", 0.0),
-            c_const=_get_float(mapping, "c_const", 1.0),
         )
     except PreconditionError as exc:
         raise ConfigError(f"hypothesis violated: {exc}") from None
@@ -307,8 +308,10 @@ def _read_numeric_column(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicFunction:
+def _function_from_spec(spec: str, resolution: Resolution, seed: int | None) -> DyadicFunction:
     kind, _, arg = spec.partition(":")
+    if seed is not None and kind != "rand":
+        raise ConfigError(f"--seed applies only to --f rand, not {spec!r}")
     if kind == "const":
         try:
             return DyadicFunction.constant(float(arg or "1"), resolution)
@@ -329,7 +332,7 @@ def _function_from_spec(spec: str, resolution: Resolution, seed: int) -> DyadicF
     if kind == "rand":
         if arg:
             raise ConfigError(f"rand takes no argument, got {arg!r}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed or 0)
         return DyadicFunction.adopt(resolution, rng.standard_normal(resolution.size))
     if kind == "file":
         return DyadicFunction.adopt(resolution, _read_numeric_column(arg))
@@ -348,8 +351,8 @@ _Table = tuple[Sequence[str], Iterable[Sequence[Any]], dict[str, Any], int]
 def _cmd_transform(args: argparse.Namespace) -> _Table:
     resolution = Resolution(args.n)
     if args.inverse:
-        if not args.f.startswith("file:"):
-            raise ConfigError("--inverse needs --f file:PATH with coefficients")
+        if not args.f.startswith("file:") or args.seed is not None:
+            raise ConfigError("--inverse needs --f file:PATH with coefficients, and no --seed")
         coeffs = _read_numeric_column(args.f.partition(":")[2])
         g = fwht_inverse(WalshSpectrum.adopt(resolution, coeffs))
         return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
@@ -431,8 +434,7 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
     _note(
         "diverge: ratios_strictly_increasing="
         f"{str(report.ratios_strictly_increasing).lower()} "
-        f"floors_hold={str(report.floors_hold).lower()} "
-        f"weak_floor_consistent={str(report.weak_floor_consistent).lower()}"
+        f"floors_hold={str(report.floors_hold).lower()}"
     )
     columns = ("k", "N", "weak_lp", "pointwise_floor", "theory_bound",
                "hardy_estimate", "ratio")
@@ -452,7 +454,6 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
         "theory_constant_formula": THEORY_CONSTANT_FORMULA,
         "ratios_strictly_increasing": report.ratios_strictly_increasing,
         "floors_hold": report.floors_hold,
-        "weak_floor_consistent": report.weak_floor_consistent,
         "ok": report.ok,
     }
     return columns, rows, meta, 0 if report.ok else 3
@@ -465,13 +466,9 @@ def _cmd_monitor(args: argparse.Namespace) -> _Table:
     pairs = bounded_case_monitor(f, w, args.p)
     worst = max(r for _, r in pairs)
     _note(f"monitor: {w.label}, p = {args.p:g}, max ratio = {worst:.9g}")
-    meta = {
-        "family": w.label,
-        "p": args.p,
-        "n": resolution.bits,
-        "f": args.f,
-        "seed": args.seed,
-    }
+    meta = {"family": w.label, "p": args.p, "n": resolution.bits, "f": args.f}
+    if args.f == "rand":
+        meta["seed"] = args.seed or 0
     return ("n", "ratio"), pairs, meta, 0
 
 
@@ -489,7 +486,10 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main call and shared by the later
+    ones: parse_args reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="walshlab",
         description="Walsh summability laboratory: transforms, Nörlund means, "
@@ -518,7 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if spec is not None:
             p.add_argument("--f", default=spec,
                            help="const:V | walsh:K | dirichlet:N | rand | file:PATH")
-            p.add_argument("--seed", type=_seed, default=0, help="RNG seed (u64) for --f rand")
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="RNG seed (u64) for --f rand, the only spec that reads it "
+                           "(default 0)")
         p.set_defaults(func=func)
         return p
 

@@ -3,18 +3,19 @@
 Each follows its definition term by term, in O(n 2^N) work, and is not
 part of the package: production code has one evaluation path per
 quantity.  dirichlet_by_blocks assembles a Dirichlet kernel in int64
-from its power-of-two blocks, where the package synthesizes unit
-coefficients with the butterfly.  kernel_sum lays out any kernel
-window's coefficients, where the package's block_kernel writes only the
-block window's; quarter_cell_coset_from_Q reads the kernel check's
-coefficients from prefix sums, where the package takes differences of
-the weights; atom_block and build_martingale sum the martingale from
-dirichlet_by_blocks kernels, where the package synthesizes its
-closed-form spectrum.  maximal_by_rank maxes each rank's averages into
-the whole grid, where the package folds them coarse to fine.
-weak_lp_every_chunk evaluates every chunk of sorted products, where the
-package skips the chunks whose bound cannot raise the maximum.
-emit_text is the CLI's table encoder written cell by cell.
+from its power-of-two blocks, read by trailing zero bits, where the
+package synthesizes unit coefficients with the butterfly.  kernel_sum
+lays out any kernel window's coefficients, where the package's
+block_kernel writes only the block window's; quarter_cell_coset_from_Q
+reads the kernel check's coefficients from prefix sums, where the
+package takes differences of the weights; atom_block and
+build_martingale sum the martingale from dirichlet_by_blocks kernels,
+where the package synthesizes its closed-form spectrum.  maximal_by_rank
+maxes each rank's averages into the whole grid, where the package folds
+them coarse to fine.  weak_lp_every_chunk evaluates every chunk of
+sorted products, where the package skips the chunks whose bound cannot
+raise the maximum.  emit_text is the CLI's table encoder written cell by
+cell.
 """
 
 import csv
@@ -44,30 +45,31 @@ def sign_table(n: int, size: int) -> np.ndarray:
     return 1 - 2 * (np.bitwise_count(masked).astype(np.int64) & 1)
 
 
-def _power_block(k: int, idx: np.ndarray) -> np.ndarray:
-    # D_(2^k) = 2^k on indices whose low k bits vanish, 0 elsewhere.
-    return np.where(idx & ((1 << k) - 1) == 0, np.int64(1) << k, np.int64(0))
-
-
 def dirichlet_by_blocks(n: int, resolution: Resolution) -> DyadicFunction:
     """D_n = sum_{k<n} w_k, evaluated in exact integer arithmetic.
 
-    For n = 2^m the kernel is the scaled cell indicator 2^m on the rank-m
-    cell at 0.  Otherwise it is w_n times the sum, over the set bits k of
-    n, of D_(2^(k+1)) - D_(2^k).  The library's butterfly synthesis must
-    match it bit for bit.
+    D_(2^k)(x) = 2^k [tz(x) >= k], where tz(x) counts the trailing zero
+    bits of x and tz(0) = N: the scaled indicator of the rank-k cell at 0.
+    For n = 2^N that is the kernel.  Otherwise D_n is w_n times the sum,
+    over the set bits k of n, of D_(2^(k+1)) - D_(2^k), which depends on x
+    only through tz(x): an (N+1)-entry table read at tz.  The library's
+    butterfly synthesis must match it bit for bit.
     """
-    size = resolution.size
+    size, bits = resolution.size, resolution.bits
     if not 1 <= n <= size:
         raise DegreeError(f"Dirichlet order {n} out of range (1..{size})")
+    levels = np.arange(bits + 1)
+
+    def power(k: int) -> np.ndarray:
+        return np.where(levels >= k, np.int64(1) << k, np.int64(0))
+
     idx = np.arange(size, dtype=np.int64)
+    tz = np.bitwise_count((idx & -idx) - 1).astype(np.intp)
+    tz[0] = bits
     if n == size:
-        return DyadicFunction(resolution, _power_block(resolution.bits, idx))
-    acc = np.zeros(size, dtype=np.int64)
-    for k in range(resolution.bits):
-        if n >> k & 1:
-            acc += _power_block(k + 1, idx) - _power_block(k, idx)
-    return DyadicFunction(resolution, sign_table(n, size) * acc)
+        return DyadicFunction(resolution, power(bits)[tz])
+    table = sum(power(k + 1) - power(k) for k in range(bits) if n >> k & 1)
+    return DyadicFunction(resolution, sign_table(n, size) * table[tz])
 
 
 def butterfly(values) -> np.ndarray:

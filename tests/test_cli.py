@@ -311,7 +311,7 @@ def test_diverge_hypothesis_violation_is_config_error(tmp_path, capsys):
     assert "hypothesis violated" in err
 
 
-@pytest.mark.parametrize("key", ["alpha_exp", "beta_exp", "c_const"])
+@pytest.mark.parametrize("key", ["alpha_exp", "beta_exp"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_diverge_nonfinite_value_is_config_error(key, value, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -390,11 +390,14 @@ def test_diverge_missing_key_is_config_error(tmp_path, capsys):
 
 
 def test_diverge_unknown_key_is_config_error(tmp_path, capsys):
+    # c_const is read by no verdict, so a config may not set it
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("family = log\np = 0.75\nalphas = 1,2\nturbo = on\n")
-    code, _, err = run(capsys, "diverge", "--config", str(cfg))
-    assert code == 2
-    assert "turbo" in err
+    for key in ("turbo = on", "c_const = 0.01"):
+        cfg.write_text(f"family = log\np = 0.75\nalphas = 1,2\n{key}\n")
+        code, out, err = run(capsys, "diverge", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"config error: unknown config keys: {key.split()[0]}\n"
 
 
 def test_diverge_failed_verdict_exit_code(tmp_path, monkeypatch, capsys):
@@ -436,7 +439,23 @@ def test_monitor_seed_validation(capsys):
     assert "bad seed 'x'" in capsys.readouterr().err
 
 
+def test_monitor_records_the_seed_only_for_rand(capsys):
+    code, default, _ = run(capsys, "monitor", "--n", "4", "--format", "json")
+    assert code == 0
+    code, zero, _ = run(capsys, "monitor", "--n", "4", "--seed", "0", "--format", "json")
+    assert code == 0
+    assert default == zero  # rand with no --seed draws from seed 0
+    assert json.loads(default)["meta"]["seed"] == 0
+    code, out, _ = run(capsys, "monitor", "--n", "4", "--f", "walsh:1", "--format", "json")
+    assert code == 0
+    assert "seed" not in json.loads(out)["meta"]
+
+
 # --- misc -------------------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_kernels_dirichlet_column(capsys):
@@ -499,6 +518,14 @@ def test_mean_of_constant_is_constant(capsys):
         (("lemma2", "--family", "log", "--alphas", "1,x"), "bad exponent list '1,x'"),
         (("lemma2", "--family", "log", "--alphas", " , "), "empty exponent list"),
         (("transform", "--f", "rand:junk", "--n", "2"), "rand takes no argument, got 'junk'"),
+        (("transform", "--f", "const:1", "--seed", "5", "--n", "2"),
+         "--seed applies only to --f rand, not 'const:1'"),
+        (("monitor", "--n", "4", "--f", "walsh:1", "--seed", "9"),
+         "--seed applies only to --f rand, not 'walsh:1'"),
+        (("mean", "--n", "3", "--f", "const:2", "--seed", "0"),
+         "--seed applies only to --f rand, not 'const:2'"),
+        (("transform", "--n", "3", "--inverse", "--f", "file:{tmp}/missing.txt", "--seed", "1"),
+         "--inverse needs --f file:PATH with coefficients, and no --seed"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

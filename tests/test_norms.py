@@ -12,11 +12,14 @@ from walshlab import (
     DyadicFunction,
     Resolution,
     dirichlet_kernel,
+    divergence_experiment,
     hardy_norm_estimate,
     lp_quasinorm,
     maximal_function,
+    quarter_cell_min,
     weak_lp,
 )
+from walshlab.cli import _experiment_config, parse_config_text
 
 REPRO = Path(__file__).resolve().parent.parent / "reproduce"
 
@@ -164,6 +167,51 @@ def test_weak_lp_is_bit_identical_to_every_chunk(bits, kind, seed, p):
     r = Resolution(bits)
     f = DyadicFunction(r, weak_lp_input(kind, r.size, np.random.default_rng(seed)))
     assert weak_lp(f, p).value == weak_lp_every_chunk(f, p)
+
+
+# The weak floor: |g| >= m on the quarter cell, a set of measure 1/4, so
+# mu(|g| >= m) >= 1/4 and weak_lp(g) >= (1/4)^(1/p) m for every g.  Both
+# sides round monotonically from the same exact tail 1/4; the slack covers
+# pow's last ulps.
+_WEAK_FLOOR_SLACK = 4 * np.finfo(np.float64).eps
+
+
+def weak_floor(g: DyadicFunction, p: float) -> float:
+    return quarter_cell_min(g) * 0.25 ** (1.0 / p)
+
+
+@given(
+    st.integers(2, 12),
+    st.sampled_from(["normal", "ties", "zeros", "constant", "spikes", "spread"]),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.1, 4.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_weak_lp_dominates_the_quarter_cell_floor(bits, kind, seed, p):
+    rng = np.random.default_rng(seed)
+    r = Resolution(bits)
+    g = DyadicFunction(r, weak_lp_input(kind, r.size, rng))
+    assert weak_lp(g, p).value >= weak_floor(g, p) * (1.0 - _WEAK_FLOOR_SLACK)
+    # equality: the quarter cell holds the top quarter of |g| at one level,
+    # and no smaller value times its tail factor (at most 1) exceeds the floor
+    level = rng.exponential() + 0.5
+    values = rng.uniform(-1.0, 1.0, r.size) * level * 0.25 ** (1.0 / p)
+    values[rng.random(r.size) < 0.25] = 0.0
+    values[3::4] = level * rng.choice([-1.0, 1.0], r.size // 4)
+    g = DyadicFunction(r, values)
+    bound = weak_floor(g, p)
+    assert abs(weak_lp(g, p).value - bound) <= bound * _WEAK_FLOOR_SLACK
+
+
+@pytest.mark.parametrize("path", sorted(REPRO.glob("*.cfg")), ids=lambda path: path.stem)
+def test_weak_lp_dominates_the_floor_on_the_bundled_rows(path):
+    # the diverge rows at alphas 1..10: each row's weak size and quarter-cell
+    # minimum, as the experiment measures them
+    mapping = parse_config_text(path.read_text()) | {"alphas": "1..10"}
+    cfg = _experiment_config(mapping)
+    for row in divergence_experiment(cfg).rows:
+        bound = row.pointwise_floor * 0.25 ** (1.0 / cfg.p)
+        assert row.weak_lp_value >= bound * (1.0 - _WEAK_FLOOR_SLACK), row
 
 
 def maximal_oracle(values: np.ndarray, bits: int) -> np.ndarray:
