@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -95,37 +96,42 @@ _FORMATS = ("csv", "json")
 _EMIT_ROWS = 1 << 12
 
 
-def _column_text(column: tuple, fmt: str, full: bool) -> Iterable[str]:
-    """The cells of one column as text: a lazy C-level map exactly when the
-    column is all-float or all-int, whose numerals CSV never quotes, and a
-    list made cell by cell for any other.  Either way a cell reads as
-    _csv_cell writes it, or as json.dumps writes _json_cell of it in a row."""
-    kinds = set(map(type, column))
-    if kinds == {float} and (fmt == "csv" or all(map(math.isfinite, column))):
-        if full:
-            return map(float.__repr__, column)
-        text = map("{:.9g}".format, column)
-        # json writes the float of that text by float.__repr__
-        return text if fmt == "csv" else map(float.__repr__, map(float, text))
-    if kinds == {int}:
-        return map(int.__repr__, column)
+def _chunk_text(chunk: list[Sequence[Any]], columns: Sequence[str], fmt: str,
+                full: bool) -> str | None:
+    """One chunk of table rows as text, made by one % over a row template
+    repeated once per row, with the cells passed flat in row order.  An
+    all-int column is %d and an all-float one %.9g or %r: numerals CSV never
+    quotes.  In JSON any other column is %s of json.dumps of _json_cell; a
+    CSV chunk with one is None, for csv.writer to write."""
+    width = len(columns)
+    flat = list(itertools.chain.from_iterable(chunk))
+    specs = []
+    for j in range(width):
+        column = flat[j::width]
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            specs.append("%d")
+        elif kinds == {float} and (fmt == "csv" or all(map(math.isfinite, column))):
+            if fmt == "json" and not full:
+                # json writes the float of the 9-digit text by float.__repr__
+                flat[j::width] = map(float, map("%.9g".__mod__, column))
+            specs.append("%.9g" if fmt == "csv" and not full else "%r")
+        elif fmt == "csv":
+            return None
+        else:
+            # a row's values sit three levels deep in the indent=2 layout
+            flat[j::width] = [
+                json.dumps(_json_cell(v, full), indent=2).replace("\n", "\n      ")
+                for v in column
+            ]
+            specs.append("%s")
     if fmt == "csv":
-        return [_csv_cell(v, full) for v in column]
-    # a row's values sit three levels deep in the indent=2 layout
-    return [
-        json.dumps(_json_cell(v, full), indent=2).replace("\n", "\n      ")
-        for v in column
-    ]
-
-
-def _column_chunks(
-    rows: Iterable[Sequence[Any]], fmt: str, full: bool
-) -> Iterator[list[Iterable[str]]]:
-    """The table body, _EMIT_ROWS rows at a time: each chunk is transposed
-    and formatted column by column."""
-    rows = iter(rows)
-    for chunk in iter(lambda: list(itertools.islice(rows, _EMIT_ROWS)), []):
-        yield [_column_text(column, fmt, full) for column in zip(*chunk)]
+        row = ",".join(specs) + "\n"
+    else:
+        keys = (json.dumps(c).replace("%", "%%") for c in columns)
+        # each row leads with its separator; the first one's comma is dropped
+        row = ",\n    {\n" + ",\n".join(f"      {k}: {s}" for k, s in zip(keys, specs)) + "\n    }"
+    return row * len(chunk) % tuple(flat)
 
 
 def _emit(
@@ -137,9 +143,12 @@ def _emit(
     """Write one table to ``args.out`` (or stdout) in ``args.format``.
 
     The bytes are those of csv.writer over _csv_cell cells, or of
-    json.dumps(indent=2) over _json_cell cells, written chunk by chunk."""
+    json.dumps(indent=2) over _json_cell cells.  The rows are taken
+    _EMIT_ROWS at a time and each chunk is written as _chunk_text makes it,
+    so the whole output text is never held."""
     fmt, full = args.format, args.full_precision
-    chunks = _column_chunks(rows, fmt, full)
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, _EMIT_ROWS)), [])
     with (
         open(args.out, "w", encoding="utf-8", newline="")
         if args.out
@@ -148,19 +157,14 @@ def _emit(
         if fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(columns)
-            template = ",".join(["{}"] * len(columns)) + "\n"
-            for cells in chunks:
-                if all(isinstance(c, map) for c in cells):
-                    # numerals only, so one template joins the chunk,
-                    # faster than writerows on the emit workload
-                    out.write("".join(map(template.format, *cells)))
+            for chunk in chunks:
+                text = _chunk_text(chunk, columns, fmt, full)
+                if text is None:
+                    writer.writerows([_csv_cell(v, full) for v in row] for row in chunk)
                 else:
-                    writer.writerows(zip(*cells))
+                    out.write(text)
             return
-        keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in columns)
-        # each row leads with its separator; the first one's comma is dropped
-        template = ",\n    {{\n" + ",\n".join(f"      {k}: {{}}" for k in keys) + "\n    }}"
-        bodies = ("".join(map(template.format, *cells)) for cells in chunks)
+        bodies = (_chunk_text(chunk, columns, fmt, full) for chunk in chunks)
         payload = {"meta": {k: _json_cell(v, full) for k, v in meta.items()}, "rows": []}
         # splice the rows in where json.dumps wrote the empty list
         head, tail = json.dumps(payload, indent=2).rsplit("[]", 1)
@@ -557,12 +561,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor, where it has one, at devnull, so the
+    interpreter's final flush of what is still buffered raises nothing."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         columns, rows, meta, status = args.func(args)
         meta = {"command": args.command, "version": __version__} | meta
-        _emit(args, columns, rows, meta)
+        try:
+            _emit(args, columns, rows, meta)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early: not bad input, and nothing to say
+            if args.out is None:
+                _stdout_to_devnull()
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4

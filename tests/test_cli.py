@@ -1,6 +1,8 @@
 """Command line driver: output contracts, config files, exit codes."""
 
 import csv
+import errno
+import io
 import json
 import os
 import subprocess
@@ -481,6 +483,28 @@ def test_mean_of_constant_is_constant(capsys):
 
 
 # --- shared emit path and error mapping ---------------------------------------
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after ``walshlab ... | head -1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_stdout_is_no_config_error(monkeypatch, capsys):
+    from walshlab.kernel_checks import KernelBoundReport
+
+    def fake_check(w, exps):
+        return [KernelBoundReport(w.label, a, 3, 0.01, 0.125, False) for a in exps]
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["transform", "--n", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    # a failed run keeps its own status, and says only what it would have
+    monkeypatch.setattr(cli, "kernel_lower_bound_check", fake_check)
+    assert main(["lemma2", "--family", "log", "--alphas", "1"]) == 3
+    assert capsys.readouterr().err == "lemma2: log, kappa = 0.125, 0/1 rows passed\n"
 
 
 @pytest.mark.parametrize(

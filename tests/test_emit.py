@@ -2,6 +2,7 @@
 
 import argparse
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import walshlab.cli as cli
 from oracles import emit_text
 
 CHUNK = cli._EMIT_ROWS
+REPRO = Path(__file__).resolve().parent.parent / "reproduce"
 
 # values at the edges of the 9-digit format, and the ones JSON spells itself
 SPECIAL = [
@@ -118,10 +120,15 @@ def test_single_kind_columns_match_oracle(fmt, full, capsys):
 @FULL
 @FMT
 def test_awkward_column_names_match_oracle(fmt, full, capsys):
-    columns = ('quo"te', "br{ace}", "{0}", "tab\tü,comma", "")
-    rows = [(1, 2.5, -0.0, "x", None), (3, 1e16, 1e-5, "y", True)]
-    got = emitted(capsys, columns, rows, {"{}": "{0}"}, fmt, full)
-    assert_same(got, emit_text(columns, rows, {"{}": "{0}"}, fmt, full))
+    # braces mattered to str.format templates, percent signs to % templates
+    columns = ('quo"te', "br{ace}", "{0}", "tab\tü,comma", "", "%", "%s", "100%%", "%(x)d")
+    rows = [
+        (1, 2.5, -0.0, "x", None, 7, 0.5, "%d", "%"),
+        (3, 1e16, 1e-5, "y", True, -7, 2.0, "%", "%d"),
+    ]
+    meta = {"{}": "{0}", "%s": "%(x)d"}
+    got = emitted(capsys, columns, rows, meta, fmt, full)
+    assert_same(got, emit_text(columns, rows, meta, fmt, full))
 
 
 @FULL
@@ -153,6 +160,10 @@ def test_cli_tables_match_oracle(fmt, full, monkeypatch, tmp_path, capsys):
         ["transform", "--n", "13", "--f", "rand", "--seed", "4"],
         ["mean", "--n", "12", "--family", "log", "--order", "1000"],
         ["kappa"],
+        ["lemma2", "--family", "log", "--alphas", "1..3"],
+        ["monitor", "--n", "4", "--f", "rand", "--seed", "1"],
+        ["kernels", "--n", "5", "--block", "2"],
+        ["diverge", "--config", str(REPRO / "log_p075.cfg")],
     ):
         assert cli.main(argv + flags) == 0
         columns, rows, meta = seen[-1]
