@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -179,12 +179,20 @@ def _emit(
 
 def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], Iterator]:
     """Columns and rows of a per-cell table: (index, value) pairs, made as
-    they are written."""
-    return ("index", column), enumerate(values.tolist())
+    they are written, so only _EMIT_ROWS cells are Python floats at once."""
+    cells = itertools.chain.from_iterable(
+        values[j : j + _EMIT_ROWS].tolist() for j in range(0, values.size, _EMIT_ROWS)
+    )
+    return ("index", column), enumerate(cells)
 
 
 def _note(line: str) -> None:
-    print(line, file=sys.stderr)
+    """Print a line to stderr.  A closed stderr loses the line, not the
+    run: the exit status stays the run's own."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +569,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdout_to_devnull() -> None:
-    """Point stdout's file descriptor, where it has one, at devnull, so the
-    interpreter's final flush of what is still buffered raises nothing."""
+def _to_devnull(stream: TextIO) -> None:
+    """Point a closed stream's file descriptor, where it has one, at
+    devnull, so the interpreter's final flush of what is still buffered
+    raises nothing."""
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -584,12 +593,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         except BrokenPipeError:
             # the reader stopped early: not bad input, and nothing to say
             if args.out is None:
-                _stdout_to_devnull()
+                _to_devnull(sys.stdout)
     except ResourceCapError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+        _note(f"resource cap: {exc}")
         return 4
     except (WalshLabError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _note(f"config error: {exc}")
         return 2
     return status
 

@@ -82,50 +82,33 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
     return synthesize_in_place(resolution, coeffs)
 
 
-# A grid of one _BLOCK-cell chunk or less runs its strides in cache.  Inside
-# a chunk of 2^b cells, the strides below run = 2^(b//2) stay within runs
-# of `run` contiguous cells; they run on half-chunk tiles copied out
-# transposed to (run, rows), where stride h becomes stride h * rows and no
-# inner loop is shorter than `rows`.  The wider strides of the chunk follow
-# in place.  A larger grid runs by halves (_halves).  Every element still
-# gets the same additions in the same order as in a whole-array pass, so
-# the output is bit-identical to it.
-#
-# numpy's ufunc loop runs a 2-D operand whose rows are shorter than half
-# its buffer (8192 elements by default) about three times slower than a
-# contiguous one of the same size (numpy 2.4).  No pass here casts, so
-# none needs the buffer: the butterfly sets numpy's smallest, 16 elements,
-# for its own ufunc calls.
-#
-# A grid below _SMALL cells sits in L1 whole, and there the tiles' copies
-# and the buffer switch cost more than they save (1.6-3x at 1-10 bits on
-# a 2-vCPU x86-64 VM), so it runs whole-array passes instead.
+# The butterfly runs in chunks of _BLOCK cells or fewer, each in cache.
+# Inside a chunk it runs in constant geometry: a stage writes the sums
+# x[0::2] + x[1::2] into the low half and the differences x[0::2] - x[1::2]
+# into the high half of a one-chunk scratch buffer, and the two buffers
+# swap roles every stage.  A stage moves the cell at position p to p
+# rotated right by one bit, so stage s combines the cells that differ in
+# bit s of the original index, lower index on top, and after log2(size)
+# stages the cells are back in natural order.  Each cell gets the same
+# operands in the same order as in the stride-2^s pass, so the output is
+# bit-identical to whole-array passes.  A larger grid runs by halves
+# (_halves).  Chunks of 2^15, 2^17 and 2^18 cells ran slower at 20-21 bits
+# on a 2-vCPU x86-64 VM.
 _BLOCK = 1 << 16
-_SMALL = 1 << 11
 
 
 def _butterfly(a: np.ndarray) -> None:
-    # In-place Walsh-Hadamard butterflies over bit strides 1, 2, 4, ...;
-    # natural order in equals Paley order out, no reindexing needed.
-    size = a.shape[0]
-    if size < _SMALL:
-        _strides(a, 1, size, np.empty(size // 2))
-        return
-    block = min(size, _BLOCK)
-    run = 1 << (block.bit_length() - 1) // 2
-    # the tile doubles as the difference buffer of the in-place passes
-    tile = np.empty((run, block // (2 * run)))
-    with np.errstate():  # restores the buffer size on exit
-        np.setbufsize(16)
-        _halves(a, tile, np.empty(tile.size // 2))
+    # Walsh-Hadamard butterflies over bit strides 1, 2, 4, ... of a, in
+    # place; natural order in equals Paley order out, no reindexing needed.
+    _halves(a, np.empty(min(a.shape[0], _BLOCK)))
 
 
-def _halves(a: np.ndarray, tile: np.ndarray, diff: np.ndarray) -> None:
-    # The butterfly of a, made of 2^k chunks of 2 * tile.size cells.  Above
-    # one chunk it runs the lower half, the upper half, then stride size/2
-    # across them.  The strides below size/2 act on each half alone, so
-    # every element meets the same operands in the same order as in
-    # whole-array passes.
+def _halves(a: np.ndarray, scratch: np.ndarray) -> None:
+    # The butterfly of a, made of 2^k chunks of scratch.size cells.  A
+    # chunk runs its stages in constant geometry.  Above one chunk it runs
+    # the lower half, the upper half, then stride size/2 across them.  The
+    # strides below size/2 act on each half alone, so every element meets
+    # the same operands in the same order as in whole-array passes.
     #
     # An all-zero upper half is not synthesized; the lower half is copied
     # into it.  Its synthesis would be zeros, and stride size/2 pairs each
@@ -135,32 +118,31 @@ def _halves(a: np.ndarray, tile: np.ndarray, diff: np.ndarray) -> None:
     # change the sign of a zero: -0.0 + 0.0 is +0.0 where the copy keeps
     # -0.0.  The last element is read first, so the zero test is O(1) on
     # dense data.
-    flat = tile.reshape(-1)
-    half = a.shape[0] // 2
-    if half == flat.size:
-        run, rows = tile.shape
-        for piece in a.reshape(-1, rows, run):
-            np.copyto(tile, piece.T)
-            _strides(flat, rows, flat.size, diff)
-            np.copyto(piece, tile.T)
-        _strides(a, run, a.shape[0], flat)
+    size = a.shape[0]
+    if size == scratch.size:
+        x, y = a, scratch
+        for _ in range(size.bit_length() - 1):
+            _stage(x, y)
+            x, y = y, x
+        if x is not a:  # an odd number of stages ends in the scratch buffer
+            np.copyto(a, x)
         return
+    half = size // 2
     lower, upper = a[:half], a[half:]
-    _halves(lower, tile, diff)
+    _halves(lower, scratch)
     if upper[-1] == 0.0 and not np.count_nonzero(upper):
         np.copyto(upper, lower)
         return
-    _halves(upper, tile, diff)
-    for j in range(0, half, flat.size):
-        _pass(lower[j : j + flat.size], upper[j : j + flat.size], flat)
+    _halves(upper, scratch)
+    for j in range(0, half, scratch.size):
+        _pass(lower[j : j + scratch.size], upper[j : j + scratch.size], scratch)
 
 
-def _strides(x: np.ndarray, h: int, end: int, diff: np.ndarray) -> None:
-    # butterflies over strides h, 2h, ... below end, all along x
-    while h < end:
-        pairs = x.reshape(-1, 2, h)
-        _pass(pairs[:, 0, :], pairs[:, 1, :], diff.reshape(-1, h))
-        h *= 2
+def _stage(x: np.ndarray, y: np.ndarray) -> None:
+    # one constant-geometry stage: y <- (x[0::2] + x[1::2], x[0::2] - x[1::2])
+    half = x.shape[0] // 2
+    np.add(x[0::2], x[1::2], out=y[:half])
+    np.subtract(x[0::2], x[1::2], out=y[half:])
 
 
 def _pass(top: np.ndarray, bottom: np.ndarray, diff: np.ndarray) -> None:

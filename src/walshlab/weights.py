@@ -146,15 +146,17 @@ class WeightFamily:
 
     # -- cache plumbing ----------------------------------------------
 
-    def _generate(self, count: int) -> np.ndarray:
-        """q_0..q_(count-1) as a fresh array; entry j does not depend on count."""
+    def _generate(self, count: int, odd: bool = False) -> np.ndarray:
+        """q_0..q_(count-1) as a new array, or with ``odd`` only its odd
+        entries q_(count-1), q_(count-3), ..., q_1 of an even count; entry
+        j does not depend on count."""
         if self.kind == "custom":
             if count > len(self.params):
                 raise DegreeError(
                     f"custom weight family defines only {len(self.params)} weights, "
                     f"{count} requested"
                 )
-            return self.params[:count].copy()
+            return (self.params[1:count:2][::-1] if odd else self.params[:count]).copy()
         if count > MAX_WEIGHT_HORIZON:
             # a huge horizon is named by its length, not by all its digits
             shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
@@ -162,20 +164,24 @@ class WeightFamily:
                 f"weight horizon {shown} exceeds cap {MAX_WEIGHT_HORIZON}"
             )
         if self.kind == "fejer":
-            return np.ones(count)
+            return np.ones(count // 2 if odd else count)
         if self.kind == "cesaro":
-            return _cesaro_prefix(self.params[0] - 1.0, count)
-        # the rest transform j + 1 = 1, 2, ..., count in place
-        out = np.arange(1.0, count + 1.0)
+            # a running product cannot skip terms
+            q = _cesaro_prefix(self.params[0] - 1.0, count)
+            return q[1::2][::-1] if odd else q
+        # the rest transform x = j + 1 in place: 1, 2, ..., count, or for
+        # the odd entries count, count - 2, ..., 2
+        out = np.arange(count, 1.0, -2.0) if odd else np.arange(1.0, count + 1.0)
         if self.kind == "log":
             np.divide(1.0, out, out=out)
         elif self.kind == "ualpha":
             out **= self.params[0] - 1.0
         elif self.kind == "vlog":
-            tail = out[1:]
+            tail = out if odd else out[1:]
             np.log(tail, out=tail)
             np.divide(1.0, tail, out=tail)
-            out[0] = self.params[0]
+            if not odd:
+                out[0] = self.params[0]
         else:
             raise AssertionError(f"no generator for kind {self.kind!r}")
         return out
@@ -204,6 +210,15 @@ class WeightFamily:
     def q_array(self, count: int) -> np.ndarray:
         """q_0..q_(count-1) as a fresh array."""
         return self._generate(count)
+
+    def q_odd(self, count: int) -> np.ndarray:
+        """q_(count-1), q_(count-3), ..., q_1 as a fresh array, for an even
+        count: the odd-indexed weights below count, highest index first.
+        Bit for bit ``q_array(count)[count - 1 :: -2]``, without making the
+        even-indexed half where the closed form can skip it."""
+        if count % 2:
+            raise ValueError(f"odd weights need an even count, got {count}")
+        return self._generate(count, odd=True)
 
     def Q(self, n: int) -> float:
         """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0."""

@@ -75,8 +75,8 @@ def dirichlet_by_blocks(n: int, resolution: Resolution) -> DyadicFunction:
 def butterfly(values) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform by whole-array butterfly
     passes over strides 1, 2, 4, ...: (top, bottom) -> (top + bottom,
-    top - bottom).  The library's tiled, cache-blocked butterfly must
-    match it bit for bit."""
+    top - bottom).  The library's chunked, constant-geometry butterfly
+    must match it bit for bit."""
     a = np.array(values, dtype=np.float64)
     h = 1
     while h < a.size:

@@ -208,7 +208,9 @@ def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     generate = walshlab.WeightFamily._generate
     ensure = walshlab.WeightFamily._ensure
     monkeypatch.setattr(
-        walshlab.WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+        walshlab.WeightFamily,
+        "_generate",
+        lambda w, count, **odd: sizes.append(count) or generate(w, count, **odd),
     )
     monkeypatch.setattr(
         walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)
@@ -637,6 +639,55 @@ def test_module_entry_point_exits_2_without_traceback():
     assert proc.returncode == 2
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def run_with_closed_stderr(*argv):
+    # stderr is a pipe whose reader has gone, so every write to it fails
+    # with EPIPE; stdout is discarded
+    src = str(Path(walshlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "walshlab.cli", *argv],
+            stdout=subprocess.DEVNULL, stderr=write_end, env=env, timeout=60,
+        ).returncode
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stderr_keeps_a_passing_run_at_exit_0():
+    assert run_with_closed_stderr("lemma2", "--family", "log", "--alphas", "1") == 0
+
+
+def test_closed_stderr_keeps_a_config_error_at_exit_2(tmp_path):
+    assert run_with_closed_stderr("diverge", "--config", str(tmp_path / "missing.cfg")) == 2
+
+
+class _ClosedStream:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise OSError("no file descriptor")
+
+
+def test_closed_stderr_keeps_a_failed_verdict_at_exit_3(monkeypatch, capsys):
+    from walshlab.kernel_checks import KernelBoundReport
+
+    def fake_check(w, exps):
+        return [KernelBoundReport(w.label, a, 3, 0.01, 0.125, False) for a in exps]
+
+    monkeypatch.setattr(cli, "kernel_lower_bound_check", fake_check)
+    monkeypatch.setattr(sys, "stderr", _ClosedStream())
+    code, out, _ = run(capsys, "lemma2", "--family", "log", "--alphas", "1")
+    assert code == 3
+    assert out.startswith("family,alpha,n,min_abs_kernel")
 
 
 def _csv_matches_json(cell, jv):

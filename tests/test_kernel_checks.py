@@ -17,6 +17,7 @@ from walshlab import (
     lp_quasinorm,
     parse_family,
     quarter_cell_min,
+    synthesize_in_place,
     walsh_function,
 )
 from walshlab.errors import DegreeError, PreconditionError, ResourceCapError, WalshLabError
@@ -76,7 +77,7 @@ def test_bad_block_exponent():
             kernel_lower_bound_check(WeightFamily.logarithmic(), exps)
     # the widest window is refused by the weight horizon before a weight
     # is made
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"^weight horizon 67108864 exceeds cap 16777216$"):
         kernel_lower_bound_check(WeightFamily.logarithmic(), [1, 13])
     with pytest.raises(ValueError):
         block_kernel(WeightFamily.logarithmic(), 3, Resolution(6))
@@ -127,6 +128,39 @@ def test_quarter_cell_coset_is_the_window_bit_for_bit(label):
         assert np.array_equal(-coset, lanes[coset.size :]), a
         assert float(np.abs(coset).min()) == quarter_cell_min(window), a
         assert rep.min_abs_kernel == pytest.approx(quarter_cell_min(window), rel=1e-7), a
+
+
+ODD_WEIGHT_LABELS = [
+    "log", "cesaro:0.25", "ualpha:0.3", "vlog", "cesaro:0.8", "fejer", "custom",
+]
+
+
+@pytest.mark.parametrize("label", ODD_WEIGHT_LABELS)
+def test_odd_weight_coset_matches_the_q_array_route_bit_for_bit(label):
+    # the check makes only q_(W-1), q_(W-3), ..., q_1 for the widest W and
+    # reads each row's suffix of them; the coefficients, the coset and the
+    # minimum are those taken from all of q_0..q_(A-1), bit for bit
+    top = 10
+    W = 1 << (2 * top)
+    w = convex_custom(W + 3) if label == "custom" else parse_family(label)
+    odd = w.q_odd(W)
+    assert odd.tobytes() == w.q_array(W)[1::2][::-1].tobytes()
+    reports = kernel_lower_bound_check(w, range(1, top + 1))
+    for a, rep in zip(range(1, top + 1), reports):
+        A = 1 << (2 * a)
+        q = w.q_array(A)
+        d = q[A - 1 :: -4] - q[A - 3 :: -4]
+        coset = d if a == 1 else synthesize_in_place(Resolution(2 * a - 2), d).values
+        assert w.q_odd(A).tobytes() == odd[(W - A) // 2 :].tobytes(), a
+        assert _quarter_cell_coset(w.q_odd(A), a).tobytes() == coset.tobytes(), a
+        assert rep.min_abs_kernel == float(np.abs(coset).min()), a
+
+
+def test_too_short_custom_family_refusal_is_unchanged():
+    # the structure screen reads q_0..q_(W+2) of the widest window W first
+    w = WeightFamily.custom(1.0 / np.arange(1.0, 21.0))
+    with pytest.raises(DegreeError, match=r"^custom weight family defines only 20 weights, 67 requested$"):
+        kernel_lower_bound_check(w, [1, 2, 3])
 
 
 def coset_bound(a: int) -> float:
@@ -184,7 +218,7 @@ def test_quarter_cell_coset_is_the_exact_log_kernel(a):
     w = WeightFamily.logarithmic()
     q = np.array([Fraction(1, j + 1) for j in range(A)], dtype=object)
     exact = exact_coset(q, a)
-    coset = _quarter_cell_coset(w.q_array(A), a)
+    coset = _quarter_cell_coset(w.q_odd(A), a)
     err = max(abs(Fraction(float(x)) - y) for x, y in zip(coset, exact))
     assert err <= coset_bound(a), (a, float(err))
 
@@ -205,7 +239,7 @@ def test_quarter_cell_coset_is_near_the_exact_kernel(label):
     q = longdouble_weights(w, 1 << (2 * top))
     for a in range(6, top + 1):
         exact = exact_coset(q, a)
-        coset = _quarter_cell_coset(w.q_array(1 << (2 * a)), a)
+        coset = _quarter_cell_coset(w.q_odd(1 << (2 * a)), a)
         assert coset_error(coset, exact) <= coset_bound(a), (a, coset_error(coset, exact))
     if label in ("vlog", "cesaro:0.8"):
         # the bound is not vacuous: the prefix sums' route misses it

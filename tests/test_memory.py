@@ -162,3 +162,14 @@ def test_emit_streams_a_large_table(fmt, tmp_path):
     args = argparse.Namespace(format=fmt, full_precision=False, out=str(tmp_path / "t"))
     peak = traced_peak(lambda: cli._emit(args, ("index", "value"), rows, {"n": BITS}))
     assert peak < 4 << 20, peak / (1 << 20)
+
+
+def test_cli_transform_streams_its_rows(tmp_path):
+    # the cells become Python floats one chunk of rows at a time, so the
+    # run holds the grid, its spectrum and the butterfly's scratch chunk
+    # and not a list of every cell, which alone would be 4 arrays
+    bits = 18
+    argv = ["transform", "--f", "rand", "--n", str(bits), "--out", str(tmp_path / "t.csv")]
+    array_bytes = 8 << bits
+    peak = traced_peak(lambda: cli.main(argv))
+    assert peak <= 3 * array_bytes, peak / array_bytes
