@@ -54,7 +54,7 @@ def main() -> None:
         print(f"  k={k}: max |S_{1 << k} f - cell average| = {err:.3e}")
         assert err < 1e-14, (k, err)
 
-    print(f"\nL1 norm of f: {lp_quasinorm(f, 1.0).value:.6f}")
+    print(f"\nL1 norm of f: {lp_quasinorm(f, 1.0):.6f}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ def main() -> None:
     print("the L1 norm is exactly 1 for every power of two:")
     for k in range(5):
         d = dirichlet_kernel(1 << k, r)
-        print(f"  ||D_{1 << k}||_1 = {lp_quasinorm(d, 1.0).value}")
+        print(f"  ||D_{1 << k}||_1 = {lp_quasinorm(d, 1.0)}")
 
     print("\ngeneral orders oscillate; D_11 on the 16-cell grid:")
     print(f"  {dirichlet_kernel(11, r).values.tolist()}")

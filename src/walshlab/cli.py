@@ -16,12 +16,13 @@ argparse refuses any other with exit 2.  Every one takes the output flags
 kernels --family only with --block.  A diverge config holds the whole
 experiment and its flags only the output.
 
-Exit codes: 0 success, 2 config error (invalid input, or an --out path that
-cannot be written), 3 assertion failure, 4 resource cap.  All floats are
-printed with 9 significant digits unless --full-precision asks for the
-shortest round-tripping form; CSV and JSON runs of the same command carry
-identical numeric values.  Run constants and summary verdicts go to stderr
-so the data stream stays machine-readable.
+Exit codes: 0 success, 2 config error (invalid input, an overflow of float64,
+or an --out path that cannot be written), 3 assertion failure, 4 resource
+cap.  All floats are printed with 9 significant digits unless
+--full-precision asks for the shortest round-tripping form; CSV and JSON
+runs of the same command carry identical numeric values.  Run constants
+and summary verdicts go to stderr so the data stream stays
+machine-readable.
 """
 
 from __future__ import annotations
@@ -585,7 +586,9 @@ def _to_devnull(stream: TextIO) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        columns, rows, meta, status = args.func(args)
+        # an overflow raises here, not as numpy warnings and inf or NaN cells
+        with np.errstate(over="raise", invalid="raise"):
+            columns, rows, meta, status = args.func(args)
         meta = {"command": args.command, "version": __version__} | meta
         try:
             _emit(args, columns, rows, meta)
@@ -599,6 +602,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except (WalshLabError, ValueError, OSError) as exc:
         _note(f"config error: {exc}")
+        return 2
+    except FloatingPointError as exc:
+        _note(f"config error: the input overflows float64 ({exc})")
         return 2
     return status
 

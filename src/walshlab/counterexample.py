@@ -68,8 +68,10 @@ class CounterexampleConfig:
         m_e / m_k = 2^(-2d/p) * sqrt(a_k / a_e) < 4^(-d) * sqrt(1 + d),
 
     and distinct e give distinct d, so sum_{e<k} m_e / m_k is below
-    sum_{d>=1} 4^(-d) sqrt(1 + d) = 0.505... < 1.  No run-time check is
-    needed.
+    sum_{d>=1} 4^(-d) sqrt(1 + d) = 0.505... < 1: it needs no check.
+    The multipliers Q_(n-j)/Q_n are at most 1, so every value a row's
+    synthesis forms is below 1.505 m_K; a schedule whose bound reaches
+    2^1023 is refused, leaving a binary order for weak_lp's chunk bounds.
     """
 
     p: float
@@ -93,6 +95,12 @@ class CounterexampleConfig:
         ):
             raise PreconditionError(
                 f"block exponents must be strictly increasing and >= 1, got {self.alphas}"
+            )
+        a = self.alphas[-1]
+        if math.log2(1.505) + 2.0 * a / self.p - 0.5 * math.log2(a) >= 1023.0:
+            raise PreconditionError(
+                f"p = {self.p} is too small: the row mass bound 1.505 * 2^(2 a/p) / sqrt(a) "
+                f"reaches 2^1023 at a = {a}"
             )
         if not 0.0 <= self.alpha_exp <= 1.0:
             raise PreconditionError(f"alpha_exp must lie in [0, 1], got {self.alpha_exp}")
@@ -133,15 +141,8 @@ class CounterexampleConfig:
         return 2 * self.alphas[-1] + 1
 
     def block_height(self, k: int) -> float:
-        """Spectrum height 2^(2 a_k (1/p - 1)) of block k; raises
-        PreconditionError when it exceeds the float64 range."""
-        try:
-            return 2.0 ** (2 * self.alphas[k] * (1.0 / self.p - 1.0))
-        except OverflowError:
-            raise PreconditionError(
-                f"p = {self.p} is too small: the block height 2^(2 a (1/p - 1)) "
-                f"overflows at a = {self.alphas[k]}"
-            ) from None
+        """Spectrum height 2^(2 a_k (1/p - 1)) of block k."""
+        return 2.0 ** (2 * self.alphas[k] * (1.0 / self.p - 1.0))
 
     def block_weight(self, k: int) -> float:
         """Martingale coefficient a_k^(-1/2) of block k."""
@@ -278,7 +279,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         a = cfg.alphas[k]
         mean = _row_mean(cfg, k)
         floor_measured = quarter_cell_min(mean)
-        weak_value = weak_lp(mean, cfg.p).value
+        weak_value = weak_lp(mean, cfg.p)
         theory = (
             c_theory
             * 2.0 ** (2.0 * a * (1.0 / cfg.p - 1.0 - cfg.alpha_exp))
@@ -313,7 +314,7 @@ def bounded_case_monitor(
     (x + 0 = x - 0 = x), and the L_p quasi-norm, a mean over cells, is
     unchanged by the repetition.
     """
-    hardy = hardy_norm_estimate(f, p).value
+    hardy = hardy_norm_estimate(f, p)
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
     coeffs = fwht_forward(f).coefficients
@@ -323,5 +324,5 @@ def bounded_case_monitor(
         resolution = Resolution(max(n, 1))
         prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
         mean = norlund_mean_multiplier(prefix, 1 << n, w)
-        out.append((n, lp_quasinorm(mean, p).value / hardy))
+        out.append((n, lp_quasinorm(mean, p) / hardy))
     return tuple(out)

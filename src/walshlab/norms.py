@@ -14,7 +14,6 @@ evaluates the supremum with no grid."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .dyadic import DyadicFunction
 from .errors import PreconditionError
 
 __all__ = [
-    "NormValue",
     "lp_quasinorm",
     "weak_lp",
     "maximal_function",
@@ -30,15 +28,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class NormValue:
-    """A computed size functional, tagged with which one it is."""
-
-    kind: str  # "lp" | "weak_lp" | "hardy"
-    p: float
-    value: float
 
 
 def _check_p(p: float) -> float:
@@ -50,7 +39,7 @@ def _check_p(p: float) -> float:
     return p
 
 
-def lp_quasinorm(f: DyadicFunction, p: float) -> NormValue:
+def lp_quasinorm(f: DyadicFunction, p: float) -> float:
     """(integral of |f|^p)^(1/p); a norm for p >= 1, quasi-norm below."""
     p = _check_p(p)
     values = f.values
@@ -64,11 +53,10 @@ def lp_quasinorm(f: DyadicFunction, p: float) -> NormValue:
     # sums pairwise gives exactly np.mean's total
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    value = float((sums[0] / values.size) ** (1.0 / p))
-    return NormValue("lp", p, value)
+    return float((sums[0] / values.size) ** (1.0 / p))
 
 
-def weak_lp(f: DyadicFunction, p: float) -> NormValue:
+def weak_lp(f: DyadicFunction, p: float) -> float:
     """sup over lambda > 0 of lambda * mu(|f| > lambda)^(1/p), exactly.
 
     After the sort the products m_i * t_i, with tail factor
@@ -112,7 +100,7 @@ def weak_lp(f: DyadicFunction, p: float) -> NormValue:
         tail **= exponent
         tail *= magnitudes[start : start + _CHUNK]
         best = max(best, float(tail.max()))
-    return NormValue("weak_lp", p, best)
+    return best
 
 
 def maximal_function(f: DyadicFunction) -> DyadicFunction:
@@ -167,7 +155,7 @@ def maximal_function(f: DyadicFunction) -> DyadicFunction:
     return DyadicFunction.adopt(f.resolution, best)
 
 
-def hardy_norm_estimate(f: DyadicFunction, p: float) -> NormValue:
+def hardy_norm_estimate(f: DyadicFunction, p: float) -> float:
     """L_p quasi-norm of the maximal function: the desk-scale H_p size."""
     p = _check_p(p)
-    return NormValue("hardy", p, lp_quasinorm(maximal_function(f), p).value)
+    return lp_quasinorm(maximal_function(f), p)

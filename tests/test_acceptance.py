@@ -264,8 +264,8 @@ def test_criterion_9_weak_lp_evaluator():
         p = float(rng.uniform(0.3, 1.5))
         values = rng.standard_normal(r.size)
         f = DyadicFunction(r, values)
-        exact = weak_lp(f, p).value
+        exact = weak_lp(f, p)
         grid = grid_weak_oracle(values, p)
         assert abs(grid - exact) <= 1e-6 * exact, (i, p)
-        assert weak_lp(f, p).value <= lp_quasinorm(f, p).value + 1e-12
+        assert weak_lp(f, p) <= lp_quasinorm(f, p) + 1e-12
     print("criterion 9 (weak quasi-norm evaluator): PASS")

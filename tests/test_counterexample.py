@@ -165,9 +165,33 @@ def test_admitted_schedules_satisfy_the_mass_condition():
         for size in range(2, 8):
             for alphas in itertools.combinations(range(1, 14), size):
                 assert _masses_stay_below_newest(alphas, p), (alphas, p)
-    for p, alphas in ((0.99, (1, 2, 3)), (0.1, (100, 400, 1600))):
-        cfg = log_cfg(p=p, alphas=alphas)
-        assert _masses_stay_below_newest(cfg.alphas, cfg.p)
+    cfg = log_cfg(p=0.99, alphas=(1, 2, 3))
+    assert _masses_stay_below_newest(cfg.alphas, cfg.p)
+    # the condition holds for huge exponents too, but their rows would
+    # overflow float64, so the config refuses them
+    assert _masses_stay_below_newest((100, 400, 1600), 0.1)
+    with pytest.raises(PreconditionError, match="p = 0.1 is too small"):
+        log_cfg(p=0.1, alphas=(100, 400, 1600))
+
+
+def test_schedules_whose_rows_overflow_are_refused_before_any_row(monkeypatch):
+    # the mass bound 1.505 * 2^(2 a/p) / sqrt(a) reaches 2^1023 at a = 10
+    # once p <= 0.019530; no row may be synthesized before the refusal
+    def no_row(cfg, k):
+        raise AssertionError("a row ran before the schedule was refused")
+
+    monkeypatch.setattr(walshlab.counterexample, "_row_mean", no_row)
+    for p in (0.0194, 0.0195):
+        with pytest.raises(PreconditionError, match=f"p = {p} is too small"):
+            divergence_experiment(log_cfg(p=p, alphas=tuple(range(1, 11))))
+
+
+def test_p_just_above_the_refusal_keeps_every_row_finite():
+    rep = divergence_experiment(log_cfg(p=0.0196, alphas=tuple(range(1, 11))))
+    for row in rep.rows:
+        cells = (row.weak_lp_value, row.pointwise_floor, row.theory_bound, row.ratio)
+        assert all(math.isfinite(v) for v in cells), row
+    assert rep.ok
 
 
 # --- the experiment ---------------------------------------------------------
@@ -216,7 +240,7 @@ def test_divergence_row_matches_literal_mean():
     for k, row in enumerate(rep.rows):
         f = build_martingale(replace(cfg, alphas=cfg.alphas[: k + 1]))
         t = norlund_mean_naive(f, f.resolution.size, LOG)
-        assert weak_lp(t, cfg.p).value == pytest.approx(row.weak_lp_value, rel=1e-12)
+        assert weak_lp(t, cfg.p) == pytest.approx(row.weak_lp_value, rel=1e-12)
         on_cell = np.abs(t.values[3::4])  # the quarter cell: indices = 3 mod 4
         assert on_cell.min() == pytest.approx(row.pointwise_floor, rel=1e-12)
 
@@ -237,7 +261,7 @@ def test_folded_row_means_match_the_multiplier_route(label, p):
             expect = norlund_mean_multiplier(WalshSpectrum(r, coeffs[: r.size]), r.size, w)
             got = _row_mean(cfg, k)
             assert got.values.tobytes() == expect.values.tobytes(), (alphas, k)
-            assert rows[k].weak_lp_value == weak_lp(expect, p).value
+            assert rows[k].weak_lp_value == weak_lp(expect, p)
             assert rows[k].pointwise_floor == quarter_cell_min(expect)
 
 
@@ -308,12 +332,12 @@ def test_monitor_rows_match_full_grid_means(label):
         f = DyadicFunction(r, rng.standard_normal(r.size))
         spectrum = fwht_forward(f)
         for p in (0.5, 0.75, 1.0):
-            hardy = hardy_norm_estimate(f, p).value
+            hardy = hardy_norm_estimate(f, p)
             pairs = bounded_case_monitor(f, w, p)
             assert [n for n, _ in pairs] == list(range(bits + 1))
             for n, ratio in pairs:
                 mean = norlund_mean_multiplier(spectrum, 1 << n, w)
-                expect = lp_quasinorm(mean, p).value / hardy
+                expect = lp_quasinorm(mean, p) / hardy
                 assert ratio == pytest.approx(expect, rel=1e-12), (label, bits, p, n)
 
 
@@ -323,9 +347,9 @@ def test_monitor_rows_match_literal_mean(label):
     r = Resolution(6)
     f = DyadicFunction(r, np.random.default_rng(204).standard_normal(r.size))
     p = 0.75
-    hardy = hardy_norm_estimate(f, p).value
+    hardy = hardy_norm_estimate(f, p)
     for n, ratio in bounded_case_monitor(f, w, p):
-        expect = lp_quasinorm(norlund_mean_naive(f, 1 << n, w), p).value / hardy
+        expect = lp_quasinorm(norlund_mean_naive(f, 1 << n, w), p) / hardy
         assert ratio == pytest.approx(expect, rel=1e-12), (label, n)
 
 

@@ -47,9 +47,11 @@ def grid_weak_oracle(values: np.ndarray, p: float) -> float:
 def test_lp_quasinorm_frozen_values():
     r = Resolution(2)
     two_level = DyadicFunction(r, np.array([2.0, 2.0, 0.0, 0.0]))
-    assert lp_quasinorm(two_level, 1.0).value == pytest.approx(1.0, abs=0)
+    assert lp_quasinorm(two_level, 1.0) == pytest.approx(1.0, abs=0)
     quarter = DyadicFunction(r, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert lp_quasinorm(quarter, 0.5).value == pytest.approx(0.0625, abs=1e-15)
+    assert lp_quasinorm(quarter, 0.5) == pytest.approx(0.0625, abs=1e-15)
+    # the functionals return the Python float itself
+    assert type(lp_quasinorm(quarter, 0.5)) is float
 
 
 @pytest.mark.parametrize("bits", range(1, 21))
@@ -61,7 +63,7 @@ def test_chunked_lp_quasinorm_equals_whole_array_mean(bits):
     f = DyadicFunction(r, values)
     for p in (0.4, 0.75, 1.0, 2.0):
         expect = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-        assert lp_quasinorm(f, p).value == expect, p
+        assert lp_quasinorm(f, p) == expect, p
 
 
 def test_lp_rejects_nonpositive_p():
@@ -76,17 +78,18 @@ def test_lp_rejects_nonpositive_p():
 def test_weak_lp_frozen_values():
     r = Resolution(2)
     two_level = DyadicFunction(r, np.array([2.0, 2.0, 0.0, 0.0]))
-    assert weak_lp(two_level, 1.0).value == pytest.approx(1.0, abs=0)
+    assert weak_lp(two_level, 1.0) == pytest.approx(1.0, abs=0)
     quarter = DyadicFunction(r, np.array([0.0, 0.0, 0.0, 1.0]))
-    assert weak_lp(quarter, 0.5).value == pytest.approx(0.0625, abs=1e-15)
+    assert weak_lp(quarter, 0.5) == pytest.approx(0.0625, abs=1e-15)
     # |D_4| = 4 on a quarter of the grid, so weak-L_1 = 1
     r4 = Resolution(4)
-    assert weak_lp(dirichlet_kernel(4, r4), 1.0).value == pytest.approx(1.0, abs=0)
+    assert weak_lp(dirichlet_kernel(4, r4), 1.0) == pytest.approx(1.0, abs=0)
+    assert type(weak_lp(quarter, 0.5)) is float
 
 
 def test_weak_lp_zero_function():
     r = Resolution(3)
-    assert weak_lp(DyadicFunction.constant(0.0, r), 0.7).value == 0.0
+    assert weak_lp(DyadicFunction.constant(0.0, r), 0.7) == 0.0
 
 
 def distribution_scan_oracle(values: np.ndarray, p: float) -> float:
@@ -109,10 +112,10 @@ def test_weak_lp_with_ties_and_zeros_matches_distribution_scan():
             # few distinct levels, each repeated many times, many zeros
             values = rng.choice([-3.0, -1.0, 0.5, 1.0, 2.0, 3.0], size=r.size)
             values[rng.random(r.size) < zero_share] = 0.0
-            exact = weak_lp(DyadicFunction(r, values), p).value
+            exact = weak_lp(DyadicFunction(r, values), p)
             assert exact == pytest.approx(distribution_scan_oracle(values, p), rel=1e-14)
         steps = np.repeat([0.0, 4.0, 0.0, 1.0, 1.0, 4.0, 0.0, 2.0], r.size // 8)
-        exact = weak_lp(DyadicFunction(r, steps), p).value
+        exact = weak_lp(DyadicFunction(r, steps), p)
         assert exact == pytest.approx(distribution_scan_oracle(steps, p), rel=1e-14)
 
 
@@ -122,7 +125,7 @@ def test_weak_lp_matches_grid_oracle_smoke():
     for p in (0.4, 0.7, 1.0, 1.6):
         for _ in range(5):
             values = rng.standard_normal(r.size)
-            exact = weak_lp(DyadicFunction(r, values), p).value
+            exact = weak_lp(DyadicFunction(r, values), p)
             grid = grid_weak_oracle(values, p)
             assert grid <= exact + 1e-12
             assert abs(grid - exact) <= 1e-6 * exact
@@ -134,7 +137,7 @@ def test_chebyshev_weak_below_strong(seed, p):
     rng = np.random.default_rng(seed)
     r = Resolution(5)
     f = DyadicFunction(r, rng.standard_normal(r.size))
-    assert weak_lp(f, p).value <= lp_quasinorm(f, p).value + 1e-12
+    assert weak_lp(f, p) <= lp_quasinorm(f, p) + 1e-12
 
 
 def weak_lp_input(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,7 +169,7 @@ def test_weak_lp_is_bit_identical_to_every_chunk(bits, kind, seed, p):
     # sizes 2^15..2^18 put the grid below, at and across the 2^16-cell chunk
     r = Resolution(bits)
     f = DyadicFunction(r, weak_lp_input(kind, r.size, np.random.default_rng(seed)))
-    assert weak_lp(f, p).value == weak_lp_every_chunk(f, p)
+    assert weak_lp(f, p) == weak_lp_every_chunk(f, p)
 
 
 # The weak floor: |g| >= m on the quarter cell, a set of measure 1/4, so
@@ -191,7 +194,7 @@ def test_weak_lp_dominates_the_quarter_cell_floor(bits, kind, seed, p):
     rng = np.random.default_rng(seed)
     r = Resolution(bits)
     g = DyadicFunction(r, weak_lp_input(kind, r.size, rng))
-    assert weak_lp(g, p).value >= weak_floor(g, p) * (1.0 - _WEAK_FLOOR_SLACK)
+    assert weak_lp(g, p) >= weak_floor(g, p) * (1.0 - _WEAK_FLOOR_SLACK)
     # equality: the quarter cell holds the top quarter of |g| at one level,
     # and no smaller value times its tail factor (at most 1) exceeds the floor
     level = rng.exponential() + 0.5
@@ -200,7 +203,7 @@ def test_weak_lp_dominates_the_quarter_cell_floor(bits, kind, seed, p):
     values[3::4] = level * rng.choice([-1.0, 1.0], r.size // 4)
     g = DyadicFunction(r, values)
     bound = weak_floor(g, p)
-    assert abs(weak_lp(g, p).value - bound) <= bound * _WEAK_FLOOR_SLACK
+    assert abs(weak_lp(g, p) - bound) <= bound * _WEAK_FLOOR_SLACK
 
 
 @pytest.mark.parametrize("path", sorted(REPRO.glob("*.cfg")), ids=lambda path: path.stem)
@@ -279,6 +282,7 @@ def test_hardy_norm_of_single_block_is_its_weight():
             lam = cfg.block_weight(k)
             atom = atom_block(k, cfg, Resolution(2 * a + 1))
             block = DyadicFunction(atom.resolution, lam * atom.values)
-            measured = hardy_norm_estimate(block, cfg.p).value
+            measured = hardy_norm_estimate(block, cfg.p)
+            assert type(measured) is float
             assert measured == pytest.approx(lam, rel=1e-12)
             assert rows[k].hardy_estimate == pytest.approx(measured, rel=1e-12)
