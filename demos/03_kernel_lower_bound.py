@@ -20,7 +20,7 @@ from walshlab import (
 
 
 def sweep(w: WeightFamily, exps: range) -> None:
-    floor = kappa(w).kappa
+    floor = kappa(w)
     mins = [rep.min_abs_kernel for rep in kernel_lower_bound_check(w, exps)]
     verdict = "holds" if all(m >= floor - 1e-12 for m in mins) else "FAILS"
     print(
@@ -49,13 +49,13 @@ def main() -> None:
     print(f"for 0 < alpha < {c_thr:.6f} and the check degrades past it:")
     for alpha in (0.1, 0.3, 0.5, 0.56, 0.57):
         k = kappa(WeightFamily.cesaro(alpha))
-        print(f"  alpha = {alpha:<5} kappa = {k.kappa:+.6f}  positive = {k.positive}")
+        print(f"  alpha = {alpha:<5} kappa = {k:+.6f}  positive = {k > 0.0}")
 
     u_thr = ualpha_kappa_threshold()
     print(f"\npower-weight sweep: kappa > 0 for 0 < alpha < {u_thr:.6f}:")
     for alpha in (0.1, 0.3, 0.41, 0.42):
         k = kappa(WeightFamily.ualpha(alpha))
-        print(f"  alpha = {alpha:<5} kappa = {k.kappa:+.6f}  positive = {k.positive}")
+        print(f"  alpha = {alpha:<5} kappa = {k:+.6f}  positive = {k > 0.0}")
 
     print("\nFejer weights are the boundary case: kappa = 1 - 3/2 < 0, so the")
     print("floor claims nothing and the check passes vacuously:")

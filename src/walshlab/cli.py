@@ -57,7 +57,13 @@ from .transform import (
     fwht_inverse,
     walsh_function,
 )
-from .weights import kappa, norlund_mean_multiplier, parse_family
+from .weights import (
+    cesaro_kappa_threshold,
+    kappa,
+    norlund_mean_multiplier,
+    parse_family,
+    ualpha_kappa_threshold,
+)
 
 __all__ = [
     "main",
@@ -381,7 +387,7 @@ def _cmd_kernels(args: argparse.Namespace) -> _Table:
     if args.block is not None:
         w = parse_family(args.family or "log")
         values = block_kernel(w, args.block, resolution).values
-        meta |= {"family": w.label, "block": args.block, "kappa": kappa(w).kappa}
+        meta |= {"family": w.label, "block": args.block, "kappa": kappa(w)}
     else:
         if args.family is not None:
             raise ConfigError("--family applies only with --block")
@@ -411,11 +417,13 @@ _DEFAULT_KAPPA_FAMILIES = (
 
 
 def _cmd_kappa(args: argparse.Namespace) -> _Table:
-    labels = args.families or list(_DEFAULT_KAPPA_FAMILIES)
+    # the order A below which a cesaro:A or ualpha:A family's kappa is positive
+    thresholds = {"cesaro": cesaro_kappa_threshold(), "ualpha": ualpha_kappa_threshold()}
     rows = []
-    for label in labels:
-        rep = kappa(parse_family(label))
-        rows.append((rep.family, rep.kappa, rep.positive, rep.threshold))
+    for label in args.families or _DEFAULT_KAPPA_FAMILIES:
+        w = parse_family(label)
+        value = kappa(w)
+        rows.append((w.label, value, value > 0.0, thresholds.get(w.kind)))
     return ("family", "kappa", "positive", "threshold"), rows, {}, 0
 
 
@@ -427,7 +435,7 @@ def _cmd_lemma2(args: argparse.Namespace) -> _Table:
         for rep in kernel_lower_bound_check(w, _parse_alphas(args.alphas))
     ]
     passed = sum(1 for r in rows if r[5])
-    kap = kappa(w).kappa
+    kap = kappa(w)
     _note(f"lemma2: {w.label}, kappa = {kap:.9g}, {passed}/{len(rows)} rows passed")
     columns = ("family", "alpha", "n", "min_abs_kernel", "kappa", "passed", "vacuous")
     return columns, rows, {"family": w.label, "kappa": kap}, 0 if passed == len(rows) else 3

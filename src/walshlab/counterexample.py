@@ -56,9 +56,6 @@ class CounterexampleConfig:
     alphas     strictly increasing positive block exponents a_0 < a_1 < ...
     alpha_exp  growth exponent of Q_n ~ n^alpha_exp (0 for log-type families)
     beta_exp   logarithmic correction exponent, >= 0
-    c_const    constant C of the growth condition kappa/Q_n >= C/(n^a ln^b n);
-               validated (positive, finite) but read by no verdict, so the
-               diverge config does not take it
 
     Every admitted schedule satisfies the spectral-mass condition: the
     masses m_e = 2^(2 a_e / p) / sqrt(a_e) of the earlier blocks sum to
@@ -79,7 +76,6 @@ class CounterexampleConfig:
     alphas: tuple[int, ...]
     alpha_exp: float = 0.0
     beta_exp: float = 0.0
-    c_const: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", float(self.p))
@@ -106,13 +102,10 @@ class CounterexampleConfig:
             raise PreconditionError(f"alpha_exp must lie in [0, 1], got {self.alpha_exp}")
         if self.beta_exp < 0.0:
             raise PreconditionError(f"beta_exp must be >= 0, got {self.beta_exp}")
-        if self.c_const <= 0.0:
-            raise PreconditionError(f"c_const must be positive, got {self.c_const}")
-        # NaN and +inf pass the comparisons above; alpha_exp's range check
+        # NaN and +inf pass the comparison above; alpha_exp's range check
         # already refuses both
-        for name in ("beta_exp", "c_const"):
-            if not math.isfinite(getattr(self, name)):
-                raise PreconditionError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.beta_exp):
+            raise PreconditionError(f"beta_exp must be finite, got {self.beta_exp}")
         try:
             self.alphas[-1] ** (self.beta_exp + 1.0)  # the theory column's divisor
         except OverflowError:
@@ -125,7 +118,7 @@ class CounterexampleConfig:
                 f"need p < 1/(1 + alpha_exp) = {1.0 / (1.0 + self.alpha_exp):.6g}, "
                 f"got p = {self.p}"
             )
-        if not kappa(self.weights).positive:
+        if not kappa(self.weights) > 0.0:
             raise PreconditionError(
                 f"kernel floor constant of {self.weights.label} is not positive"
             )
@@ -168,7 +161,7 @@ def guaranteed_floor(cfg: CounterexampleConfig, k: int) -> float:
     (kappa/Q) * 2^(2 a_k (1/p - 1)) * (1/sqrt(a_k) - 1/(8 a_k))."""
     a = cfg.alphas[k]
     w = cfg.weights
-    kap = kappa(w).kappa
+    kap = kappa(w)
     Q = w.Q(1 << (2 * a + 1))
     h = cfg.block_height(k)
     return (kap / Q) * h * (1.0 / math.sqrt(a) - 1.0 / (8.0 * a))
@@ -270,7 +263,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
             f"weight family {w.label} fails the structure screen: {structure}"
         )
     w.Q_array(widest.size)  # grow the weight cache once, for the last row
-    kap = kappa(w).kappa
+    kap = kappa(w)
     c_theory = _theory_constant(cfg, kap)
 
     rows = []

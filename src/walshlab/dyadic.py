@@ -113,8 +113,8 @@ def quarter_cell_min(f: DyadicFunction) -> float:
     """Minimum of |f| on the quarter cell, where both leading coordinates
     are 1: the indices congruent to 3 mod 4 (Haar measure 1/4).
 
-    Kernel lower bounds and the divergence construction are both judged
-    by this minimum.
+    The divergence construction's floors are judged by this minimum; the
+    kernel lower bound check reads its own quarter-cell coset instead.
     """
     if f.resolution.bits < 2:
         raise DegreeError(

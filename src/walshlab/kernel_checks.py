@@ -5,8 +5,9 @@ windowed kernel sum_{j=2^(2a)}^{2^(2a+1)} q_(2^(2a+1)-j) D_j has
 absolute value at least kappa = q_1 - (3/2) q_3 everywhere on the
 quarter cell (both leading coordinates 1).  ``block_kernel`` evaluates
 that kernel on the whole grid, and ``kernel_lower_bound_check`` verifies
-the bound at every cell of the quarter cell.  This module is the one
-place that lays out the window's Walsh coefficients.
+the bound at every cell of the quarter cell.  ``block_kernel`` lays out
+the window's Walsh coefficients; the divergence experiment writes the
+upper ones too, divided by Q_(2^(2a+1)), as a row mean's newest block.
 
 The check needs only a quarter of the kernel.  Let A = 2^(2a).  The
 window kernel's Walsh coefficients are Q_(A+1) below A and
@@ -130,7 +131,7 @@ def kernel_lower_bound_check(
         )
     # q_(W-1), q_(W-3), ..., q_1 for the widest W; q_(A-1), ... is its suffix
     v = w.q_odd(widest)
-    kap = kappa(w).kappa
+    kap = kappa(w)
     reports = []
     for a in block_exps:
         suffix = v[(widest - (1 << (2 * a))) // 2 :]

@@ -48,7 +48,6 @@ __all__ = [
     "parse_family",
     "StructureReport",
     "validate_structure",
-    "KappaReport",
     "kappa",
     "cesaro_kappa_threshold",
     "ualpha_kappa_threshold",
@@ -339,23 +338,9 @@ def validate_structure(w: WeightFamily, n_max: int) -> StructureReport:
     )
 
 
-@dataclass(frozen=True)
-class KappaReport:
-    """The kernel floor constant kappa = q_1 - (3/2) q_3 of a family, and
-    for cesaro:A and ualpha:A the order A below which it is positive."""
-
-    family: str
-    kappa: float
-    positive: bool
-    threshold: float | None
-
-
-def kappa(w: WeightFamily) -> KappaReport:
-    """Compute kappa = q_1 - (3/2) q_3 and report its sign threshold."""
-    value = w.q(1) - 1.5 * w.q(3)
-    thresholds = {"cesaro": cesaro_kappa_threshold, "ualpha": ualpha_kappa_threshold}
-    threshold = thresholds[w.kind]() if w.kind in thresholds else None
-    return KappaReport(w.label, value, value > 0.0, threshold)
+def kappa(w: WeightFamily) -> float:
+    """The kernel floor constant kappa = q_1 - (3/2) q_3 of a family."""
+    return w.q(1) - 1.5 * w.q(3)
 
 
 def cesaro_kappa_threshold() -> float:

@@ -149,7 +149,7 @@ def test_criterion_4_kernel_lower_bound_reproduction():
         + [WeightFamily.ualpha(a) for a in (0.1, 0.25, 0.4)]
     )
     for w in families:
-        floor = kappa(w).kappa
+        floor = kappa(w)
         assert floor > 0.0, w.label
         for rep in kernel_lower_bound_check(w, range(1, 7)):
             assert rep.min_abs_kernel >= floor - 1e-12, (w.label, rep)
@@ -161,11 +161,11 @@ def test_criterion_4_kernel_lower_bound_reproduction():
 
 
 def test_criterion_5_closed_form_constants():
-    assert abs(kappa(WeightFamily.logarithmic()).kappa - 0.125) < 1e-12
-    assert abs(kappa(WeightFamily.vlog()).kappa - 1.0 / (4.0 * math.log(2.0))) < 1e-12
+    assert abs(kappa(WeightFamily.logarithmic()) - 0.125) < 1e-12
+    assert abs(kappa(WeightFamily.vlog()) - 1.0 / (4.0 * math.log(2.0))) < 1e-12
     for alpha in (0.1, 0.25, 0.5, 0.55):
         expect = alpha * (2.0 - 3.0 * alpha - alpha * alpha) / 4.0
-        assert abs(kappa(WeightFamily.cesaro(alpha)).kappa - expect) < 1e-12
+        assert abs(kappa(WeightFamily.cesaro(alpha)) - expect) < 1e-12
     root = (math.sqrt(17.0) - 3.0) / 2.0
     assert abs(cesaro_kappa_threshold() - root) < 1e-12
     assert round(root, 4) == 0.5616
@@ -196,11 +196,10 @@ def test_criterion_7_divergence_growth():
     targets = [
         CounterexampleConfig(
             p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 2, 3, 4, 5),
-            c_const=0.01,
         ),
         CounterexampleConfig(
             p=0.7, weights=WeightFamily.cesaro(0.25), alphas=(1, 2, 3, 4, 5),
-            alpha_exp=0.25, c_const=0.05,
+            alpha_exp=0.25,
         ),
     ]
     for cfg in targets:
@@ -208,7 +207,7 @@ def test_criterion_7_divergence_growth():
         assert report.rows[-1].resolution_used == 11
         ratios = [row.ratio for row in report.rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:])), (cfg.weights.label, ratios)
-        kap = kappa(cfg.weights).kappa
+        kap = kappa(cfg.weights)
         for row in report.rows:
             a = cfg.alphas[row.k]
             Q = cfg.weights.Q(1 << (2 * a + 1))

@@ -126,6 +126,7 @@ def test_kappa_table(capsys):
     assert table["cesaro:0.25"][1] == "0.07421875"
     assert table["cesaro:0.25"][3] == "0.561552813"
     assert table["ualpha:0.3"][3] == "0.415037499"
+    assert table["log"][3] == table["vlog"][3] == ""  # no threshold order
     assert all(r[2] == "true" for r in rows)
 
 
@@ -279,7 +280,7 @@ def test_diverge_csv_and_json_carry_identical_values(tmp_path, capsys):
 
 def test_diverge_non_convex_family_fails_the_structure_screen(tmp_path, capsys):
     # vlog:1.9 has a positive kernel floor but a non-convex head
-    assert walshlab.kappa(walshlab.parse_family("vlog:1.9")).kappa > 0
+    assert walshlab.kappa(walshlab.parse_family("vlog:1.9")) > 0
     text = (REPRO / "log_p075.cfg").read_text().replace("family = log", "family = vlog:1.9")
     cfg = tmp_path / "vlog19.cfg"
     cfg.write_text(text)
@@ -395,7 +396,7 @@ def test_diverge_missing_key_is_config_error(tmp_path, capsys):
 
 
 def test_diverge_unknown_key_is_config_error(tmp_path, capsys):
-    # c_const is read by no verdict, so a config may not set it
+    # the growth constant C is no config field, so a config may not set it
     cfg = tmp_path / "bad.cfg"
     for key in ("turbo = on", "c_const = 0.01"):
         cfg.write_text(f"family = log\np = 0.75\nalphas = 1,2\n{key}\n")
@@ -556,6 +557,8 @@ def test_closed_stdout_is_no_config_error(monkeypatch, capsys):
         (("mean", "--n", "3", "--f", "const:1e308"), "the input overflows float64"),
         (("monitor", "--n", "3", "--f", "const:1e300", "--p", "2"),
          "the input overflows float64"),
+        (("monitor", "--n", "3", "--f", "const:5", "--p", "1e-300"),
+         "exponent p must be at least 2^-20, got 1e-300"),
     ],
 )
 def test_bad_input_is_config_error(argv, message, tmp_path, capsys):

@@ -41,7 +41,7 @@ LOG = WeightFamily.logarithmic()
 
 
 def log_cfg(**kw):
-    base = dict(p=0.75, weights=LOG, alphas=(1, 2, 3, 4, 5), c_const=0.01)
+    base = dict(p=0.75, weights=LOG, alphas=(1, 2, 3, 4, 5))
     base.update(kw)
     return CounterexampleConfig(**base)
 
@@ -81,12 +81,6 @@ def test_config_rejects_bad_weights_and_constants():
         log_cfg(weights="log")
     with pytest.raises(PreconditionError, match="beta_exp must be >= 0"):
         log_cfg(beta_exp=-1.0)
-    with pytest.raises(PreconditionError, match="c_const must be positive"):
-        log_cfg(c_const=0.0)
-    # no diverge config can set c_const, so its NaN and inf refusal is held here
-    for value in (math.nan, math.inf):
-        with pytest.raises(PreconditionError, match="c_const must be finite"):
-            log_cfg(c_const=value)
 
 
 # --- blocks and spectra -----------------------------------------------------
@@ -293,7 +287,7 @@ def test_weak_value_dominates_theory_bound():
 def test_guaranteed_floor_closed_form():
     cfg = log_cfg()
     a = 3
-    kap = kappa(LOG).kappa
+    kap = kappa(LOG)
     Q = LOG.Q(1 << (2 * a + 1))
     h = 2.0 ** (2 * a * (1 / 0.75 - 1))
     expect = (kap / Q) * h * (1 / math.sqrt(a) - 1 / (8 * a))

@@ -43,7 +43,7 @@ def test_log_blocks_up_to_four_pass():
 
 def test_cesaro_half_blocks_pass_with_kappa_margin():
     w = WeightFamily.cesaro(0.5)
-    assert kappa(w).kappa == pytest.approx(0.03125, abs=1e-15)
+    assert kappa(w) == pytest.approx(0.03125, abs=1e-15)
     for rep in kernel_lower_bound_check(w, (1, 2, 3)):
         assert rep.min_abs_kernel >= 0.03125 - 1e-12
         assert rep.passed

@@ -1,5 +1,6 @@
 """Size functionals against grid and pyramid oracles."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import maximal_by_rank, weak_lp_every_chunk
 from walshlab import (
     DyadicFunction,
+    PreconditionError,
     Resolution,
     dirichlet_kernel,
     divergence_experiment,
@@ -73,6 +75,18 @@ def test_lp_rejects_nonpositive_p():
         lp_quasinorm(f, 0.0)
     with pytest.raises(ValueError):
         weak_lp(f, -1.0)
+
+
+def test_p_below_the_floor_is_refused():
+    # below p = 2^-20 the power 1/p amplifies the mean's roundoff past the
+    # nine printed digits; at the floor a constant still reads within 5e-10
+    f = DyadicFunction.constant(5.0, Resolution(3))
+    floor = 2.0**-20
+    for size in (lp_quasinorm, weak_lp, hardy_norm_estimate):
+        for p in (math.nextafter(floor, 0.0), 1e-17, 1e-300):
+            with pytest.raises(PreconditionError, match=r"p must be at least 2\^-20"):
+                size(f, p)
+        assert size(f, floor) == pytest.approx(5.0, rel=5e-10, abs=0), size.__name__
 
 
 def test_weak_lp_frozen_values():

@@ -282,19 +282,19 @@ def test_huge_weight_horizon_is_named_by_its_length():
 
 
 def test_kappa_closed_forms():
-    assert kappa(WeightFamily.logarithmic()).kappa == pytest.approx(0.125, abs=1e-15)
-    assert kappa(WeightFamily.vlog()).kappa == pytest.approx(
+    assert type(kappa(WeightFamily.logarithmic())) is float
+    assert kappa(WeightFamily.logarithmic()) == pytest.approx(0.125, abs=1e-15)
+    assert kappa(WeightFamily.vlog()) == pytest.approx(
         1.0 / (4.0 * math.log(2.0)), abs=1e-15
     )
     for alpha in (0.1, 0.25, 0.5, 0.55):
-        got = kappa(WeightFamily.cesaro(alpha)).kappa
+        got = kappa(WeightFamily.cesaro(alpha))
         assert got == pytest.approx(
             alpha * (2.0 - 3.0 * alpha - alpha * alpha) / 4.0, abs=1e-14
         )
-    got = kappa(WeightFamily.ualpha(0.3)).kappa
+    got = kappa(WeightFamily.ualpha(0.3))
     assert got == pytest.approx(2.0**-0.7 - 1.5 * 4.0**-0.7, abs=1e-15)
-    assert kappa(WeightFamily.fejer()).kappa == pytest.approx(-0.5, abs=0)
-    assert not kappa(WeightFamily.fejer()).positive
+    assert kappa(WeightFamily.fejer()) == pytest.approx(-0.5, abs=0)
 
 
 def test_kappa_thresholds():
@@ -304,15 +304,10 @@ def test_kappa_thresholds():
     assert ualpha_kappa_threshold() == pytest.approx(2.0 - math.log2(3.0), abs=0)
     # positivity flips exactly at the threshold
     eps = 1e-6
-    assert kappa(WeightFamily.cesaro(cesaro_kappa_threshold() - eps)).positive
-    assert not kappa(WeightFamily.cesaro(cesaro_kappa_threshold() + eps)).positive
-    assert kappa(WeightFamily.ualpha(ualpha_kappa_threshold() - eps)).positive
-    assert not kappa(WeightFamily.ualpha(ualpha_kappa_threshold() + eps)).positive
-    # the report carries the threshold of its own family, if it has one
-    assert kappa(WeightFamily.cesaro(0.5)).threshold == cesaro_kappa_threshold()
-    assert kappa(WeightFamily.ualpha(0.3)).threshold == ualpha_kappa_threshold()
-    for w in (WeightFamily.fejer(), WeightFamily.logarithmic(), WeightFamily.vlog()):
-        assert kappa(w).threshold is None
+    assert kappa(WeightFamily.cesaro(cesaro_kappa_threshold() - eps)) > 0.0
+    assert kappa(WeightFamily.cesaro(cesaro_kappa_threshold() + eps)) < 0.0
+    assert kappa(WeightFamily.ualpha(ualpha_kappa_threshold() - eps)) > 0.0
+    assert kappa(WeightFamily.ualpha(ualpha_kappa_threshold() + eps)) < 0.0
 
 
 # --- Nörlund means ----------------------------------------------------------
