@@ -25,7 +25,7 @@ import numpy as np
 
 from .dyadic import DyadicFunction, Resolution, quarter_cell_min
 from .errors import DegreeError, PreconditionError
-from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp
+from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp_in_place
 from .transform import WalshSpectrum, fwht_forward, synthesize_in_place
 from .weights import (
     WeightFamily,
@@ -219,9 +219,13 @@ def _theory_constant(cfg: CounterexampleConfig, kap: float) -> float:
     return 0.25 ** (1.0 / cfg.p) * 0.125 * min(brackets)
 
 
-def _row_mean(cfg: CounterexampleConfig, k: int) -> DyadicFunction:
+def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.ndarray]:
     """t_n f_k at n = 2^(2a_k+1): block e's coefficient scaled by
-    Q_(n-j)/Q_n on its indices j in [4^(a_e), 2 4^(a_e)), synthesized."""
+    Q_(n-j)/Q_n on its indices j in [4^(a_e), 2 4^(a_e)), synthesized.
+
+    Returns the mean and the writable buffer of its cells; the mean
+    adopts a read-only view of it, so the buffer may be given up once the
+    mean is dropped."""
     n = 2 << (2 * cfg.alphas[k])
     Q = cfg.weights.Q_array(n)
     coeffs = np.zeros(n)
@@ -230,7 +234,7 @@ def _row_mean(cfg: CounterexampleConfig, k: int) -> DyadicFunction:
         block = coeffs[size : 2 * size]
         np.divide(Q[n - size : n - 2 * size : -1], Q[n], out=block)
         block *= cfg.block_height(e) * cfg.block_weight(e)
-    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs)
+    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs.view()), coeffs
 
 
 def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
@@ -246,9 +250,12 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     butterfly copies across the zero gaps between blocks.  The
     measured columns are the exact weak-L_p size of the mean, the
     measured minimum of |t f_k| on the quarter cell, and the provable
-    floor scaled into the theory_bound column.  hardy_estimate is the
-    Hardy size of the newest scaled block a_k^(-1/2) * atom_k, which is
-    exactly a_k^(-1/2) because its maximal function is a single plateau;
+    floor scaled into the theory_bound column.  The floor is read first;
+    then weak_lp_in_place sorts the mean's own cell buffer, so the last
+    row holds the weight cache and one grid of cells, and no copy.
+    hardy_estimate is the Hardy size of the newest scaled block
+    a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
+    function is a single plateau;
     test_hardy_norm_of_single_block_is_its_weight measures it with
     hardy_norm_estimate.  Divergence shows up as strict growth of
     weak_lp_value / hardy_estimate, the weak size of the mean against
@@ -270,9 +277,11 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     floors_hold = True
     for k in range(cfg.K):
         a = cfg.alphas[k]
-        mean = _row_mean(cfg, k)
+        mean, cells = _row_mean(cfg, k)
         floor_measured = quarter_cell_min(mean)
-        weak_value = weak_lp(mean, cfg.p)
+        del mean  # the sort overwrites the cells it views
+        weak_value = weak_lp_in_place(cells, cfg.p)
+        del cells  # so the next row is not built beside this one
         theory = (
             c_theory
             * 2.0 ** (2.0 * a * (1.0 / cfg.p - 1.0 - cfg.alpha_exp))
@@ -310,12 +319,14 @@ def bounded_case_monitor(
     hardy = hardy_norm_estimate(f, p)
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
+    # grow the weight cache once, for the last row, before the spectrum
+    # is held, so the weights it is summed from never sit beside it
+    w.Q_array(f.resolution.size)
     coeffs = fwht_forward(f).coefficients
-    w.Q_array(f.resolution.size)  # grow the weight cache once, for the last row
     out = []
     for n in range(f.resolution.bits + 1):
         resolution = Resolution(max(n, 1))
         prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
-        mean = norlund_mean_multiplier(prefix, 1 << n, w)
-        out.append((n, lp_quasinorm(mean, p) / hardy))
+        # no name holds a row's mean while the next row's is built
+        out.append((n, lp_quasinorm(norlund_mean_multiplier(prefix, 1 << n, w), p) / hardy))
     return tuple(out)

@@ -9,6 +9,7 @@ Addition of encoded points is bitwise XOR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ __all__ = [
 
 # 2^24 cells (128 MiB of float64 per function) is the largest grid allowed.
 MAX_RESOLUTION_BITS = 24
+
+# quarter_cell_min takes |f| this many cells at a time
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,4 +124,11 @@ def quarter_cell_min(f: DyadicFunction) -> float:
         raise DegreeError(
             f"the quarter cell needs at least 2 bits, got {f.resolution.bits}"
         )
-    return float(np.abs(f.values[3::4]).min())
+    coset = f.values[3::4]
+    magnitudes = np.empty(min(coset.size, _CHUNK))
+    least = math.inf
+    # the min of floats is exact, so the chunks give the whole coset's min
+    for start in range(0, coset.size, magnitudes.size):
+        np.abs(coset[start : start + magnitudes.size], out=magnitudes)
+        least = min(least, float(magnitudes.min()))
+    return least

@@ -23,6 +23,7 @@ from .errors import PreconditionError
 __all__ = [
     "lp_quasinorm",
     "weak_lp",
+    "weak_lp_in_place",
     "maximal_function",
     "hardy_norm_estimate",
 ]
@@ -68,7 +69,18 @@ def lp_quasinorm(f: DyadicFunction, p: float) -> float:
 
 
 def weak_lp(f: DyadicFunction, p: float) -> float:
-    """sup over lambda > 0 of lambda * mu(|f| > lambda)^(1/p), exactly.
+    """sup over lambda > 0 of lambda * mu(|f| > lambda)^(1/p), exactly:
+    ``weak_lp_in_place`` run on a copy of ``f.values``, which it sorts."""
+    return weak_lp_in_place(f.values.copy(), p)
+
+
+def weak_lp_in_place(values: np.ndarray, p: float) -> float:
+    """The weak-L_p size of the cell values in a buffer the caller gives up.
+
+    ``values`` must be a writable, contiguous 1-D float64 array of 2^N
+    cells, N >= 1.  It is overwritten with the sorted magnitudes
+    m_0 <= ... <= m_(M-1) of its cells, so no copy is made; the caller
+    must not use it again, and no ``DyadicFunction`` may still view it.
 
     After the sort the products m_i * t_i, with tail factor
     t_i = ((M - i)/M)^(1/p), are evaluated a chunk at a time, and only in
@@ -86,9 +98,25 @@ def weak_lp(f: DyadicFunction, p: float) -> float:
     chunk.
     """
     p = _check_p(p)
-    magnitudes = np.abs(f.values)
+    flags = values.flags
+    total = values.size
+    if (
+        values.dtype != np.float64
+        or values.ndim != 1
+        or total < 2
+        or total & (total - 1)
+        or not (flags.c_contiguous and flags.writeable)
+    ):
+        raise ValueError(
+            f"expected a writable contiguous array of 2^N float64 values, N >= 1, "
+            f"got {values.dtype} of shape {values.shape}"
+        )
+    magnitudes = np.abs(values, out=values)
     magnitudes.sort()
-    total = magnitudes.size
+    # NaN sorts last, after +inf, so the last magnitude is finite only if
+    # every one is
+    if not math.isfinite(magnitudes[-1]):
+        raise ValueError("values must be finite")
     exponent = 1.0 / p
     # each chunk's bound: the padded tail factor at its start times its
     # last (largest) magnitude
@@ -111,6 +139,7 @@ def weak_lp(f: DyadicFunction, p: float) -> float:
         tail **= exponent
         tail *= magnitudes[start : start + _CHUNK]
         best = max(best, float(tail.max()))
+        del tail  # freed before the next chunk's is built
     return best
 
 

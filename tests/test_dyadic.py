@@ -1,5 +1,7 @@
 """Grid primitives: resolutions, step functions and the quarter cell."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,19 @@ def test_quarter_cell_is_the_rank_two_cell_at_three():
         values[i] = -0.5
         got = quarter_cell_min(DyadicFunction(r, values))
         assert got == (0.5 if i in (3, 7, 11, 15) else 10.0), i
+
+
+@pytest.mark.parametrize("bits", [2, 17, 18, 19])
+def test_chunked_quarter_cell_min_equals_the_whole_coset_min(bits):
+    # above 18 bits the coset spans several 2^16-cell chunks; the least
+    # magnitude, placed in the last chunk, and a -0.0 must come out exact
+    r = Resolution(bits)
+    values = np.random.default_rng(bits).standard_normal(r.size) + 3.0
+    values[-1] = -1e-300
+    assert quarter_cell_min(DyadicFunction(r, values)) == float(np.abs(values[3::4]).min())
+    values[3] = -0.0
+    got = quarter_cell_min(DyadicFunction(r, values))
+    assert math.copysign(1.0, got) == 1.0 and got == 0.0
 
 
 def test_function_rejects_wrong_length_and_nonfinite():

@@ -6,7 +6,8 @@ grid's length; the weight cache is warmed before each measurement that
 reads it, so growing it is not counted, and is itself bounded to the one
 array of prefix sums it keeps (a custom family keeps its weights beside
 it).  The kernel check reads no prefix sums and is measured cold, with
-the weights it generates counted.
+the weights it generates counted, and so are the CLI's `diverge` and
+`monitor` runs, each with the weight cache it grows.
 The CLI's table encoder is bounded in MiB, since it holds one chunk of
 rows as text whatever the table's length.
 """
@@ -31,6 +32,7 @@ from walshlab import (
     lp_quasinorm,
     maximal_function,
     norlund_mean_multiplier,
+    quarter_cell_min,
     validate_structure,
     walsh_function,
 )
@@ -96,15 +98,49 @@ def test_maximal_function_peaks_at_most_1_6_arrays():
     assert peak <= 1.6 * array_bytes, peak / array_bytes
 
 
-def test_divergence_experiment_peaks_at_most_2_6_arrays():
-    # the last row holds its mean beside weak_lp's sorted copy of it; no
-    # row lays out the widest spectrum or a zero-padded multiplier
+def test_divergence_experiment_peaks_at_most_1_3_arrays_beside_the_cache():
+    # the last row holds only its own cell buffer, which weak_lp_in_place
+    # sorts once the quarter-cell floor has been read, and chunk-sized
+    # scratch; no row lays out the widest spectrum, a zero-padded
+    # multiplier or a sorted copy of its mean
     w = WeightFamily.logarithmic()
     cfg = CounterexampleConfig(p=0.75, weights=w, alphas=(1, 3, 5, 7, 9))
     array_bytes = 8 << cfg.required_bits
     w.Q_array(1 << cfg.required_bits)
     peak = traced_peak(lambda: divergence_experiment(cfg))
-    assert peak <= 2.6 * array_bytes, peak / array_bytes
+    assert peak <= 1.3 * array_bytes, peak / array_bytes
+
+
+def test_cli_diverge_peaks_at_most_2_2_arrays_cold(tmp_path):
+    # cold: the weight cache of Q_0..Q_(2^19) is one array and the last
+    # row's cells the other; no row is built beside the one before it
+    alphas = 9
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"family = log\np = 0.75\nalphas = 1..{alphas}\n")
+    argv = ["diverge", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
+    array_bytes = 8 << (2 * alphas + 1)
+    peak = traced_peak(lambda: cli.main(argv))
+    assert peak <= 2.2 * array_bytes, peak / array_bytes
+
+
+def test_cli_monitor_peaks_at_most_4_7_arrays_cold(tmp_path):
+    # cold: the input, the weight cache, the spectrum, one row's mean and
+    # the butterfly's scratch chunk; the cache grows before the spectrum
+    # is held, and no row's mean is held while the next is built
+    bits = 18
+    argv = ["monitor", "--n", str(bits), "--out", str(tmp_path / "m.csv")]
+    array_bytes = 8 << bits
+    peak = traced_peak(lambda: cli.main(argv))
+    assert peak <= 4.7 * array_bytes, peak / array_bytes
+
+
+def test_quarter_cell_min_holds_one_chunk():
+    # |f| on the 3 mod 4 coset is taken a 2^16-cell chunk at a time, not
+    # as a quarter-grid temporary
+    f = random_function(20)
+    array_bytes = 8 * f.resolution.size
+    peak = traced_peak(lambda: quarter_cell_min(f))
+    assert peak < 0.1 * array_bytes, peak / array_bytes
 
 
 def test_weight_cache_holds_only_the_prefix_sums():

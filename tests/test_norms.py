@@ -20,6 +20,7 @@ from walshlab import (
     maximal_function,
     quarter_cell_min,
     weak_lp,
+    weak_lp_in_place,
 )
 from walshlab.cli import _experiment_config, parse_config_text
 
@@ -182,8 +183,35 @@ def weak_lp_input(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
 def test_weak_lp_is_bit_identical_to_every_chunk(bits, kind, seed, p):
     # sizes 2^15..2^18 put the grid below, at and across the 2^16-cell chunk
     r = Resolution(bits)
-    f = DyadicFunction(r, weak_lp_input(kind, r.size, np.random.default_rng(seed)))
-    assert weak_lp(f, p) == weak_lp_every_chunk(f, p)
+    values = weak_lp_input(kind, r.size, np.random.default_rng(seed))
+    f = DyadicFunction(r, values)
+    buffer = values.copy()
+    got = weak_lp_in_place(buffer, p)
+    assert got == weak_lp(f, p) == weak_lp_every_chunk(f, p)
+    assert type(got) is float
+    # the buffer is left holding the sorted magnitudes, and weak_lp sorts
+    # a copy, not f's own values
+    assert buffer.tobytes() == np.sort(np.abs(values)).tobytes()
+    assert f.values.tobytes() == values.tobytes()
+
+
+def test_weak_lp_in_place_refuses_a_buffer_it_cannot_sort_in_place():
+    strided = np.ones(32)[::2]
+    for bad in (
+        DyadicFunction.constant(1.0, Resolution(4)).values,  # read-only
+        strided,
+        np.ones(16, dtype=np.int64),
+        np.ones(12),
+        np.ones(1),
+        np.ones((4, 4)),
+    ):
+        with pytest.raises(ValueError, match="expected a writable contiguous array"):
+            weak_lp_in_place(bad, 0.75)
+    assert np.array_equal(strided, np.ones(16))
+    with pytest.raises(ValueError, match="values must be finite"):
+        weak_lp_in_place(np.array([1.0, np.nan, -np.inf, 0.0]), 0.75)
+    with pytest.raises(PreconditionError, match="exponent p must be positive"):
+        weak_lp_in_place(np.ones(4), 0.0)
 
 
 # The weak floor: |g| >= m on the quarter cell, a set of measure 1/4, so
