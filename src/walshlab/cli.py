@@ -44,7 +44,7 @@ from . import __version__
 from .counterexample import (
     THEORY_CONSTANT_FORMULA,
     CounterexampleConfig,
-    bounded_case_monitor,
+    bounded_case_monitor_in_place,
     divergence_experiment,
 )
 from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
@@ -52,15 +52,15 @@ from .errors import ConfigError, PreconditionError, ResourceCapError, WalshLabEr
 from .kernel_checks import block_kernel, kernel_lower_bound_check
 from .transform import (
     WalshSpectrum,
+    analyze_in_place,
     dirichlet_kernel,
-    fwht_forward,
     fwht_inverse,
     walsh_function,
 )
 from .weights import (
     cesaro_kappa_threshold,
     kappa,
-    norlund_mean_multiplier,
+    norlund_mean_in_place,
     parse_family,
     ualpha_kappa_threshold,
 )
@@ -327,38 +327,45 @@ def _read_numeric_column(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _function_from_spec(spec: str, resolution: Resolution, seed: int | None) -> DyadicFunction:
+def _cells_from_spec(spec: str, resolution: Resolution, seed: int | None) -> np.ndarray:
+    """The cell values of a function spec, in a writable buffer the caller
+    may give up.  Its length and values pass DyadicFunction's checks."""
     kind, _, arg = spec.partition(":")
     if seed is not None and kind != "rand":
         raise ConfigError(f"--seed applies only to --f rand, not {spec!r}")
     if kind == "const":
         try:
-            return DyadicFunction.constant(float(arg or "1"), resolution)
+            value = float(arg or "1")
         except ValueError:
-            raise ConfigError(f"bad constant {arg!r}") from None
-    if kind == "walsh":
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"bad constant {arg!r}")
+        cells = np.full(resolution.size, value)
+    elif kind == "walsh":
         try:
             n = int(arg)
         except ValueError:
             raise ConfigError(f"bad character index {arg!r}") from None
-        return walsh_function(n, resolution)
-    if kind == "dirichlet":
+        cells = walsh_function(n, resolution).values.copy()
+    elif kind == "dirichlet":
         try:
             n = int(arg)
         except ValueError:
             raise ConfigError(f"bad kernel order {arg!r}") from None
-        return dirichlet_kernel(n, resolution)
-    if kind == "rand":
+        cells = dirichlet_kernel(n, resolution).values.copy()
+    elif kind == "rand":
         if arg:
             raise ConfigError(f"rand takes no argument, got {arg!r}")
-        rng = np.random.default_rng(seed or 0)
-        return DyadicFunction.adopt(resolution, rng.standard_normal(resolution.size))
-    if kind == "file":
-        return DyadicFunction.adopt(resolution, _read_numeric_column(arg))
-    raise ConfigError(
-        f"unknown function spec {spec!r} (use const:V, walsh:K, dirichlet:N, "
-        f"rand, or file:PATH)"
-    )
+        cells = np.random.default_rng(seed or 0).standard_normal(resolution.size)
+    elif kind == "file":
+        cells = _read_numeric_column(arg)
+    else:
+        raise ConfigError(
+            f"unknown function spec {spec!r} (use const:V, walsh:K, dirichlet:N, "
+            f"rand, or file:PATH)"
+        )
+    DyadicFunction.adopt(resolution, cells.view())  # marks only the view read-only
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +382,7 @@ def _cmd_transform(args: argparse.Namespace) -> _Table:
         coeffs = _read_numeric_column(args.f.partition(":")[2])
         g = fwht_inverse(WalshSpectrum.adopt(resolution, coeffs))
         return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
-    f = _function_from_spec(args.f, resolution, args.seed)
-    spectrum = fwht_forward(f)
+    spectrum = analyze_in_place(resolution, _cells_from_spec(args.f, resolution, args.seed))
     meta = {"n": resolution.bits, "f": args.f}
     return *_indexed(spectrum.coefficients, "coefficient"), meta, 0
 
@@ -400,8 +406,10 @@ def _cmd_mean(args: argparse.Namespace) -> _Table:
     resolution = Resolution(args.n)
     w = parse_family(args.family)
     order = args.order if args.order is not None else resolution.size
-    f = _function_from_spec(args.f, resolution, args.seed)
-    mean = norlund_mean_multiplier(fwht_forward(f), order, w)
+    cells = _cells_from_spec(args.f, resolution, args.seed)
+    # the spectrum is written into the cell buffer, and the mean into it again
+    analyze_in_place(resolution, cells.view())
+    mean = norlund_mean_in_place(resolution, cells, order, w)
     meta = {"n": resolution.bits, "family": w.label, "order": order, "f": args.f}
     return *_indexed(mean.values, "value"), meta, 0
 
@@ -483,8 +491,8 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
 def _cmd_monitor(args: argparse.Namespace) -> _Table:
     resolution = Resolution(args.n)
     w = parse_family(args.family)
-    f = _function_from_spec(args.f, resolution, args.seed)
-    pairs = bounded_case_monitor(f, w, args.p)
+    cells = _cells_from_spec(args.f, resolution, args.seed)
+    pairs = bounded_case_monitor_in_place(resolution, cells, w, args.p)
     worst = max(r for _, r in pairs)
     _note(f"monitor: {w.label}, p = {args.p:g}, max ratio = {worst:.9g}")
     meta = {"family": w.label, "p": args.p, "n": resolution.bits, "f": args.f}

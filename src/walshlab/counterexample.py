@@ -26,13 +26,8 @@ import numpy as np
 from .dyadic import DyadicFunction, Resolution, quarter_cell_min
 from .errors import DegreeError, PreconditionError
 from .norms import hardy_norm_estimate, lp_quasinorm, weak_lp_in_place
-from .transform import WalshSpectrum, fwht_forward, synthesize_in_place
-from .weights import (
-    WeightFamily,
-    kappa,
-    norlund_mean_multiplier,
-    validate_structure,
-)
+from .transform import WalshSpectrum, analyze_in_place, synthesize_in_place
+from .weights import WeightFamily, kappa, norlund_mean_in_place, validate_structure
 
 __all__ = [
     "CounterexampleConfig",
@@ -42,6 +37,7 @@ __all__ = [
     "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
+    "bounded_case_monitor_in_place",
 ]
 
 _FLOOR_TOL = 1e-12
@@ -301,10 +297,33 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
 def bounded_case_monitor(
     f: DyadicFunction, w: WeightFamily, p: float
 ) -> tuple[tuple[int, float], ...]:
-    """Ratios ||t_(2^n) f||_p / ||f||_Hp for n = 0..N.
+    """Ratios ||t_(2^n) f||_p / ||f||_Hp for n = 0..N:
+    ``bounded_case_monitor_in_place`` run on a copy of ``f.values``.
 
     For families with summable structure (Fejér above all) these stay
     bounded; contrast with the divergence experiment's growing column.
+    """
+    return bounded_case_monitor_in_place(f.resolution, f.values.copy(), w, p)
+
+
+def bounded_case_monitor_in_place(
+    resolution: Resolution, cells: np.ndarray, w: WeightFamily, p: float
+) -> tuple[tuple[int, float], ...]:
+    """The monitor's ratios for the cell values in a buffer the caller
+    gives up.
+
+    ``cells`` must be a writable, contiguous 1-D float64 array of length
+    2^N with finite values.  The work runs in this order, so every
+    grid-sized buffer it holds is one it keeps:
+
+    1. the Hardy size, which reads the cells;
+    2. the forward transform, in place in the cell buffer;
+    3. the weight cache, grown once for the last row;
+    4. rows n < N, each in a fresh buffer of 2^max(n,1) coefficients;
+    5. row N, in place in the spectrum's own buffer.
+
+    At row N - 1 that is the cache, the spectrum and a half-size row: 2.5
+    grid arrays.  The caller must not use the buffer again.
 
     t_(2^n) f combines only the characters w_j with j < 2^n, and those
     depend only on the first n coordinates: the mean is measurable with
@@ -316,17 +335,21 @@ def bounded_case_monitor(
     (x + 0 = x - 0 = x), and the L_p quasi-norm, a mean over cells, is
     unchanged by the repetition.
     """
-    hardy = hardy_norm_estimate(f, p)
+    resolution.check_writable(cells)
+    # the view is marked read-only; cells stays writable for the transform
+    hardy = hardy_norm_estimate(DyadicFunction.adopt(resolution, cells.view()), p)
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
-    # grow the weight cache once, for the last row, before the spectrum
-    # is held, so the weights it is summed from never sit beside it
-    w.Q_array(f.resolution.size)
-    coeffs = fwht_forward(f).coefficients
+    coeffs = analyze_in_place(resolution, cells.view()).coefficients
+    w.Q_array(resolution.size)
     out = []
-    for n in range(f.resolution.bits + 1):
-        resolution = Resolution(max(n, 1))
-        prefix = WalshSpectrum.adopt(resolution, coeffs[: resolution.size])
+    for n in range(resolution.bits):
+        row = Resolution(max(n, 1))
         # no name holds a row's mean while the next row's is built
-        out.append((n, lp_quasinorm(norlund_mean_multiplier(prefix, 1 << n, w), p) / hardy))
+        mean = norlund_mean_in_place(row, coeffs[: row.size].copy(), 1 << n, w)
+        out.append((n, lp_quasinorm(mean, p) / hardy))
+        del mean
+    del coeffs  # row N overwrites the spectrum in its own buffer
+    mean = norlund_mean_in_place(resolution, cells, resolution.size, w)
+    out.append((resolution.bits, lp_quasinorm(mean, p) / hardy))
     return tuple(out)

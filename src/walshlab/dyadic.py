@@ -55,6 +55,21 @@ class Resolution:
     def cell_measure(self) -> float:
         return 2.0**-self.bits
 
+    def check_writable(self, buffer: np.ndarray) -> None:
+        """Refuse a buffer that cannot be worked on in place as this grid:
+        anything but a writable, contiguous 1-D float64 array of 2^N
+        entries.  Its values are not read."""
+        flags = buffer.flags
+        if (
+            buffer.dtype != np.float64
+            or buffer.shape != (self.size,)
+            or not (flags.c_contiguous and flags.writeable)
+        ):
+            raise ValueError(
+                f"expected a writable contiguous array of {self.size} float64 values, "
+                f"got {buffer.dtype} of shape {buffer.shape}"
+            )
+
 
 class DyadicFunction:
     """A real step function sampled on every cell of a grid.

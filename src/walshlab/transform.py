@@ -33,6 +33,7 @@ __all__ = [
     "walsh_function",
     "fwht_forward",
     "fwht_inverse",
+    "analyze_in_place",
     "synthesize_in_place",
     "dirichlet_kernel",
 ]
@@ -153,16 +154,32 @@ def _pass(top: np.ndarray, bottom: np.ndarray, diff: np.ndarray) -> None:
 
 
 def fwht_forward(f: DyadicFunction) -> WalshSpectrum:
-    """Walsh coefficients of f: f^(k) = integral of f * w_k."""
-    coeffs = f.values.copy()
-    _butterfly(coeffs)
-    coeffs /= f.resolution.size
-    return WalshSpectrum.adopt(f.resolution, coeffs)
+    """Walsh coefficients of f: f^(k) = integral of f * w_k.
+    ``analyze_in_place`` run on a copy of ``f.values``."""
+    return analyze_in_place(f.resolution, f.values.copy())
 
 
 def fwht_inverse(spectrum: WalshSpectrum) -> DyadicFunction:
     """Synthesize sum_k f^(k) w_k back into a step function."""
     return synthesize_in_place(spectrum.resolution, spectrum.coefficients.copy())
+
+
+def analyze_in_place(resolution: Resolution, values: np.ndarray) -> WalshSpectrum:
+    """The Walsh coefficients of the cell values in a buffer the caller
+    gives up: the twin of ``synthesize_in_place``.
+
+    ``values`` must be a writable, contiguous 1-D float64 array of length
+    2^N.  The butterfly overwrites it with the coefficients and the
+    spectrum adopts it, so no copy is made; the caller must not use it
+    again, except through a view it kept writable (a spectrum adopting
+    ``buffer.view()`` marks only the view read-only).  Values that are
+    not finite make coefficients that are not, which the spectrum
+    refuses.
+    """
+    resolution.check_writable(values)
+    _butterfly(values)
+    values /= resolution.size
+    return WalshSpectrum.adopt(resolution, values)
 
 
 def synthesize_in_place(resolution: Resolution, coefficients: np.ndarray) -> DyadicFunction:
@@ -172,16 +189,7 @@ def synthesize_in_place(resolution: Resolution, coefficients: np.ndarray) -> Dya
     length 2^N.  The butterfly overwrites it with the cell values and the
     result adopts it, so no copy is made; the caller must not use it again.
     """
-    flags = coefficients.flags
-    if (
-        coefficients.dtype != np.float64
-        or coefficients.shape != (resolution.size,)
-        or not (flags.c_contiguous and flags.writeable)
-    ):
-        raise ValueError(
-            f"expected a writable contiguous array of {resolution.size} float64 "
-            f"coefficients, got {coefficients.dtype} of shape {coefficients.shape}"
-        )
+    resolution.check_writable(coefficients)
     _butterfly(coefficients)
     return DyadicFunction.adopt(resolution, coefficients)
 

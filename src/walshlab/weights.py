@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction
+from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from .transform import WalshSpectrum, synthesize_in_place
 
@@ -52,6 +53,7 @@ __all__ = [
     "cesaro_kappa_threshold",
     "ualpha_kappa_threshold",
     "norlund_mean_multiplier",
+    "norlund_mean_in_place",
 ]
 
 # Smallest q_0 keeping (q_0, q_1, q_2) convex: 2/ln2 - 1/ln3.
@@ -65,18 +67,9 @@ MAX_WEIGHT_HORIZON = 1 << MAX_RESOLUTION_BITS
 _STRUCTURE_TOL = 1e-12
 
 
-def _cesaro_prefix(alpha: float, count: int) -> np.ndarray:
-    # A_j^alpha for j = 0..count-1 via the one-term recurrence.
-    # Built in place: out holds 1 and the factors (alpha + j)/j, then
-    # their running products.
-    out = np.empty(count)
-    out[:1] = 1.0
-    j = np.arange(1, count, dtype=np.float64)
-    factors = out[1:]
-    np.add(j, alpha, out=factors)
-    factors /= j
-    np.cumprod(out, out=out)
-    return out
+# Weights are generated this many at a time, each chunk written into the
+# array that keeps it.
+_CHUNK = 1 << 16
 
 
 class WeightFamily:
@@ -145,58 +138,104 @@ class WeightFamily:
 
     # -- cache plumbing ----------------------------------------------
 
-    def _generate(self, count: int, odd: bool = False) -> np.ndarray:
-        """q_0..q_(count-1) as a new array, or with ``odd`` only its odd
-        entries q_(count-1), q_(count-3), ..., q_1 of an even count; entry
-        j does not depend on count."""
+    def _admit(self, count: int) -> None:
+        """Refuse q_0..q_(count-1) past a custom family's end or the weight
+        horizon, before anything of their size is allocated."""
         if self.kind == "custom":
             if count > len(self.params):
                 raise DegreeError(
                     f"custom weight family defines only {len(self.params)} weights, "
                     f"{count} requested"
                 )
-            return (self.params[1:count:2][::-1] if odd else self.params[:count]).copy()
-        if count > MAX_WEIGHT_HORIZON:
+        elif count > MAX_WEIGHT_HORIZON:
             # a huge horizon is named by its length, not by all its digits
             shown = count if count < 1 << 64 else f"of {count.bit_length()} bits"
             raise ResourceCapError(
                 f"weight horizon {shown} exceeds cap {MAX_WEIGHT_HORIZON}"
             )
-        if self.kind == "fejer":
-            return np.ones(count // 2 if odd else count)
-        if self.kind == "cesaro":
-            # a running product cannot skip terms
-            q = _cesaro_prefix(self.params[0] - 1.0, count)
-            return q[1::2][::-1] if odd else q
-        # the rest transform x = j + 1 in place: 1, 2, ..., count, or for
-        # the odd entries count, count - 2, ..., 2
-        out = np.arange(count, 1.0, -2.0) if odd else np.arange(1.0, count + 1.0)
+
+    def _closed_form(self, x: np.ndarray) -> None:
+        """Turn x = j + 1 into q_j in place, for j >= 1 (vlog's q_0 is free)."""
         if self.kind == "log":
-            np.divide(1.0, out, out=out)
+            np.divide(1.0, x, out=x)
         elif self.kind == "ualpha":
-            out **= self.params[0] - 1.0
+            x **= self.params[0] - 1.0
         elif self.kind == "vlog":
-            tail = out if odd else out[1:]
-            np.log(tail, out=tail)
-            np.divide(1.0, tail, out=tail)
-            if not odd:
-                out[0] = self.params[0]
+            np.log(x, out=x)
+            np.divide(1.0, x, out=x)
         else:
-            raise AssertionError(f"no generator for kind {self.kind!r}")
-        return out
+            raise AssertionError(f"no closed form for kind {self.kind!r}")
+
+    def _chunks(
+        self, count: int, out: np.ndarray | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Write q_0..q_(count-1) _CHUNK weights at a time into ``out`` (of
+        count entries), or into one scratch chunk, and yield each chunk with
+        its first index as soon as it is written; the caller may overwrite
+        it.  Entry j does not depend on count, and is bit for bit the value
+        of a whole-array generation: the closed forms act elementwise, and
+        cesaro's running product is carried across chunks, its first
+        factor times the product so far."""
+        j = np.arange(float(min(count, _CHUNK)))  # the chunk's indices, moved on each chunk
+        scratch = np.empty(j.size) if out is None else None
+        carry = 1.0  # cesaro's q_(start-1)
+        for start in range(0, count, _CHUNK):
+            if start:
+                j += _CHUNK
+            stop = min(start + _CHUNK, count)
+            chunk = scratch[: stop - start] if out is None else out[start:stop]
+            x = j[: stop - start]
+            if self.kind == "custom":
+                np.copyto(chunk, self.params[start:stop])
+            elif self.kind == "fejer":
+                chunk.fill(1.0)
+            elif self.kind == "cesaro":
+                # cesaro:A's factors (j + A - 1)/j and their running
+                # product; q_0 = 1 has no factor, which keeps j = 0 from 0/0
+                skip = 0 if start else 1
+                chunk[:skip] = 1.0
+                np.add(x[skip:], self.params[0] - 1.0, out=chunk[skip:])
+                chunk[skip:] /= x[skip:]
+                if start:
+                    chunk[0] *= carry
+                np.cumprod(chunk, out=chunk)
+                carry = float(chunk[-1])
+            else:
+                np.add(x, 1.0, out=chunk)
+                if self.kind == "vlog" and not start:
+                    self._closed_form(chunk[1:])
+                    chunk[0] = self.params[0]
+                else:
+                    self._closed_form(chunk)
+            yield start, chunk
 
     def _ensure(self, count: int) -> None:
-        """Grow the cache so Q_0..Q_count exist."""
+        """Grow the cache so Q_0..Q_count exist.
+
+        The weights are written straight into the prefix-sum buffer, a
+        chunk at a time, and each chunk is summed in place with the sum
+        carried across chunks, so growing the cache holds one array of
+        count + 1 entries and one chunk of scratch; a custom family is
+        summed straight from the weights it keeps.  numpy accumulates in
+        order, so the sums are bit for bit those of one cumsum."""
         if count < self._qsum.size:
             return
         if self.kind != "custom" and count <= MAX_WEIGHT_HORIZON:
             # at least double, so rising orders regenerate the prefix rarely
             count = min(max(count, 2 * (self._qsum.size - 1)), MAX_WEIGHT_HORIZON)
-        q = self._generate(count)  # raises past a custom family's end or the horizon
-        # Q_0 = 0 and Q_1..Q_count, accumulated straight into one array
-        self._qsum = np.empty(count + 1)
-        self._qsum[0] = 0.0
-        np.cumsum(q, out=self._qsum[1:])
+        self._admit(count)
+        qsum = np.empty(count + 1)
+        qsum[0] = 0.0  # Q_0
+        if self.kind == "custom":
+            np.cumsum(self.params[:count], out=qsum[1:])
+        else:
+            carry = 0.0
+            for start, chunk in self._chunks(count, qsum[1:]):
+                if start:
+                    chunk[0] += carry
+                np.cumsum(chunk, out=chunk)
+                carry = float(chunk[-1])
+        self._qsum = qsum
 
     # -- access ------------------------------------------------------
 
@@ -204,20 +243,41 @@ class WeightFamily:
         """The weight q_j."""
         if j < 0:
             raise ValueError(f"weight index must be >= 0, got {j}")
-        return float(self._generate(j + 1)[j])
+        return float(self.q_array(j + 1)[j])
 
     def q_array(self, count: int) -> np.ndarray:
         """q_0..q_(count-1) as a fresh array."""
-        return self._generate(count)
+        self._admit(count)
+        out = np.empty(count)
+        for _ in self._chunks(count, out):
+            pass
+        return out
 
     def q_odd(self, count: int) -> np.ndarray:
         """q_(count-1), q_(count-3), ..., q_1 as a fresh array, for an even
         count: the odd-indexed weights below count, highest index first.
-        Bit for bit ``q_array(count)[count - 1 :: -2]``, without making the
-        even-indexed half where the closed form can skip it."""
+        Bit for bit ``q_array(count)[count - 1 :: -2]``.  The closed forms
+        make only the odd-indexed half; cesaro's running product cannot
+        skip terms, so it is made a chunk at a time and only each chunk's
+        odd entries are kept, in count/2 entries and two chunks of
+        scratch."""
         if count % 2:
             raise ValueError(f"odd weights need an even count, got {count}")
-        return self._generate(count, odd=True)
+        self._admit(count)
+        if self.kind == "custom":
+            return self.params[count - 1 :: -2].copy()
+        if self.kind == "fejer":
+            return np.ones(count // 2)
+        if self.kind == "cesaro":
+            out = np.empty(count // 2)
+            for start, chunk in self._chunks(count):
+                # odd indices start + 1 .. stop - 1 land at (count - 1 - j)/2
+                out[(count - start - chunk.size) // 2 : (count - start) // 2] = chunk[-1::-2]
+            return out
+        # x = j + 1 at the odd indices: count, count - 2, ..., 2
+        out = np.arange(count, 1.0, -2.0)
+        self._closed_form(out)
+        return out
 
     def Q(self, n: int) -> float:
         """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0."""
@@ -357,16 +417,39 @@ def ualpha_kappa_threshold() -> float:
 def norlund_mean_multiplier(
     spectrum: WalshSpectrum, n: int, w: WeightFamily
 ) -> DyadicFunction:
-    """Evaluate t_n f from the spectrum: scale f^(j) by Q_(n-j)/Q_n and
-    synthesize.  Production path."""
-    size = spectrum.resolution.size
+    """Evaluate t_n f from the spectrum: ``norlund_mean_in_place`` run on
+    the first n coefficients, zero-padded.  Production path."""
+    coeffs = np.zeros(spectrum.resolution.size)
+    coeffs[:n] = spectrum.coefficients[:n]
+    return norlund_mean_in_place(spectrum.resolution, coeffs, n, w)
+
+
+def norlund_mean_in_place(
+    resolution: Resolution, coefficients: np.ndarray, n: int, w: WeightFamily
+) -> DyadicFunction:
+    """t_n f from a buffer of f's Walsh coefficients the caller gives up.
+
+    ``coefficients`` must be a writable, contiguous 1-D float64 array of
+    length 2^N.  Each f^(j) with j < n is scaled by Q_(n-j)/Q_n, the
+    multipliers formed one chunk at a time, every f^(j) with j >= n is
+    zeroed, and the buffer is synthesized in place; the mean adopts it,
+    so no copy is made and the caller must not use it again.
+    """
+    size = resolution.size
     if not 1 <= n <= size:
         raise DegreeError(f"mean order {n} out of range (1..{size})")
-    Qn = w.Q(n)
+    resolution.check_writable(coefficients)
+    Q = w.Q_array(n)
+    Qn = float(Q[n])
     if Qn <= 0.0:
         raise DegenerateWeightsError(f"Q_{n} = {Qn} for family {w.label}")
-    coeffs = np.zeros(size)
-    head = coeffs[:n]
-    np.divide(w.Q_array(n)[n:0:-1], Qn, out=head)
-    head *= spectrum.coefficients[:n]
-    return synthesize_in_place(spectrum.resolution, coeffs)
+    head = coefficients[:n]
+    multipliers = np.empty(min(n, _CHUNK))
+    for start in range(0, n, multipliers.size):
+        chunk = head[start : start + multipliers.size]
+        scale = multipliers[: chunk.size]
+        np.divide(Q[n - start : n - start - chunk.size : -1], Qn, out=scale)
+        chunk *= scale
+    del multipliers, scale  # freed before the butterfly takes its own scratch
+    coefficients[n:] = 0.0
+    return synthesize_in_place(resolution, coefficients)

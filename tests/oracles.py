@@ -15,7 +15,9 @@ maxes each rank's averages into the whole grid, where the package folds
 them coarse to fine.  weak_lp_every_chunk evaluates every chunk of
 sorted products, where the package skips the chunks whose bound cannot
 raise the maximum.  emit_text is the CLI's table encoder written cell by
-cell.
+cell.  weights_whole generates a family's weights as one array, where
+the package writes them a chunk at a time into the array that keeps
+them.
 """
 
 import csv
@@ -34,7 +36,8 @@ from walshlab import (
     fwht_inverse,
     synthesize_in_place,
 )
-from walshlab.errors import DegreeError
+from walshlab.errors import DegreeError, ResourceCapError
+from walshlab.weights import MAX_WEIGHT_HORIZON
 
 _CHUNK = 1 << 16
 
@@ -86,6 +89,64 @@ def butterfly(values) -> np.ndarray:
         pairs[:, 1, :] = top - bottom
         h *= 2
     return a
+
+
+def cesaro_prefix(alpha: float, count: int) -> np.ndarray:
+    """A_j^alpha for j = 0..count-1 via the one-term recurrence, built in
+    place: out holds 1 and the factors (alpha + j)/j, then their running
+    products."""
+    out = np.empty(count)
+    out[:1] = 1.0
+    j = np.arange(1, count, dtype=np.float64)
+    factors = out[1:]
+    np.add(j, alpha, out=factors)
+    factors /= j
+    np.cumprod(out, out=out)
+    return out
+
+
+def weights_whole(w: WeightFamily, count: int, odd: bool = False) -> np.ndarray:
+    """q_0..q_(count-1) as one new array, or with ``odd`` only its odd
+    entries q_(count-1), q_(count-3), ..., q_1 of an even count.  The
+    package's chunked generation must match it bit for bit."""
+    if w.kind == "custom":
+        if count > len(w.params):
+            raise DegreeError(
+                f"custom weight family defines only {len(w.params)} weights, "
+                f"{count} requested"
+            )
+        return (w.params[1:count:2][::-1] if odd else w.params[:count]).copy()
+    if count > MAX_WEIGHT_HORIZON:
+        raise ResourceCapError(f"weight horizon {count} exceeds cap {MAX_WEIGHT_HORIZON}")
+    if w.kind == "fejer":
+        return np.ones(count // 2 if odd else count)
+    if w.kind == "cesaro":
+        q = cesaro_prefix(w.params[0] - 1.0, count)
+        return q[1::2][::-1] if odd else q
+    # the rest transform x = j + 1 in place: 1, 2, ..., count, or for
+    # the odd entries count, count - 2, ..., 2
+    out = np.arange(count, 1.0, -2.0) if odd else np.arange(1.0, count + 1.0)
+    if w.kind == "log":
+        np.divide(1.0, out, out=out)
+    elif w.kind == "ualpha":
+        out **= w.params[0] - 1.0
+    elif w.kind == "vlog":
+        tail = out if odd else out[1:]
+        np.log(tail, out=tail)
+        np.divide(1.0, tail, out=tail)
+        if not odd:
+            out[0] = w.params[0]
+    else:
+        raise AssertionError(f"no generator for kind {w.kind!r}")
+    return out
+
+
+def prefix_sums_whole(w: WeightFamily, count: int) -> np.ndarray:
+    """Q_0..Q_count from one cumsum of weights_whole."""
+    out = np.empty(count + 1)
+    out[0] = 0.0
+    np.cumsum(weights_whole(w, count), out=out[1:])
+    return out
 
 
 def partial_sum(spectrum: WalshSpectrum, n: int) -> DyadicFunction:

@@ -207,12 +207,10 @@ def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     # are the 4-term initial head, the 5-term structure head and kappa's
     # weights), and no prefix sums past the initial head Q_0..Q_4
     sizes, sums = [], []
-    generate = walshlab.WeightFamily._generate
+    admit = walshlab.WeightFamily._admit
     ensure = walshlab.WeightFamily._ensure
     monkeypatch.setattr(
-        walshlab.WeightFamily,
-        "_generate",
-        lambda w, count, **odd: sizes.append(count) or generate(w, count, **odd),
+        walshlab.WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
     )
     monkeypatch.setattr(
         walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)

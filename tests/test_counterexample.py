@@ -358,9 +358,9 @@ def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
     expect = bounded_case_monitor(f, warm, 0.75)
     cold = parse_family(label)
     sizes = []
-    generate = WeightFamily._generate
+    admit = WeightFamily._admit
     monkeypatch.setattr(
-        WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+        WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
     )
     assert bounded_case_monitor(f, cold, 0.75) == expect
     assert sizes == [r.size], sizes
@@ -375,9 +375,9 @@ def test_experiment_grows_the_weight_cache_once(monkeypatch):
     warm.Q(1 << 13)
     expect = divergence_experiment(replace(cfg, weights=warm)).rows
     sizes = []
-    generate = WeightFamily._generate
+    admit = WeightFamily._admit
     monkeypatch.setattr(
-        WeightFamily, "_generate", lambda w, count: sizes.append(count) or generate(w, count)
+        WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
     )
     assert divergence_experiment(cfg).rows == expect
     assert [s for s in sizes if s > 5] == [1 << 11], sizes

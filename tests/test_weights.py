@@ -28,7 +28,14 @@ from walshlab import (
 from walshlab.errors import DegenerateWeightsError, DegreeError, ResourceCapError
 from walshlab.weights import MAX_WEIGHT_HORIZON
 
-from oracles import dirichlet_by_blocks, kernel_sum, norlund_mean_naive, partial_sum
+from oracles import (
+    dirichlet_by_blocks,
+    kernel_sum,
+    norlund_mean_naive,
+    partial_sum,
+    prefix_sums_whole,
+    weights_whole,
+)
 
 
 ALL_FAMILIES = [
@@ -81,6 +88,48 @@ def test_vlog_weights_and_default_head():
     assert DEFAULT_VLOG_Q0 == pytest.approx(
         2.0 / math.log(2.0) - 1.0 / math.log(3.0), abs=0
     )
+
+
+# counts on both sides of the 2^16-weight chunk seams, and a large one
+GENERATOR_COUNTS = (1, 2, 3, 4, 5, 6, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                    3 * (1 << 16) + 10, 1 << 21)
+# vlog:-0.0 and custom start with q_0 = -0.0, whose sign Q_1 keeps
+GENERATOR_FAMILIES = ("fejer", "log", "cesaro:0.25", "cesaro:0.8", "ualpha:0.3", "vlog",
+                      "vlog:2.0", "vlog:-0.0", "custom")
+
+
+def generator_family(label: str) -> WeightFamily:
+    if label == "custom":
+        values = 1.0 / np.sqrt(np.arange(1.0, (1 << 21) + 1.0))
+        values[0] = -0.0
+        return WeightFamily.custom(values)
+    return parse_family(label)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("label", GENERATOR_FAMILIES)
+def test_chunked_generation_matches_the_whole_array_oracle(label):
+    # q_array, q_odd and a cold Q_array against one whole-array generation
+    # and one cumsum, bit for bit
+    for count in GENERATOR_COUNTS:
+        w = generator_family(label)
+        expect = weights_whole(w, count)
+        assert same_bits(w.q_array(count), expect), (label, count)
+        if count % 2 == 0:
+            odd = w.q_odd(count)
+            assert same_bits(odd, weights_whole(w, count, odd=True)), (label, count)
+            assert same_bits(odd, expect[count - 1 :: -2]), (label, count)
+        assert same_bits(w.Q_array(count), prefix_sums_whole(w, count)), (label, count)
+
+
+@pytest.mark.parametrize("label", GENERATOR_FAMILIES)
+def test_regrown_cache_matches_the_whole_array_oracle(label):
+    w = generator_family(label)
+    assert same_bits(w.Q_array(10), prefix_sums_whole(w, 10)), label
+    assert same_bits(w.Q_array(1 << 20), prefix_sums_whole(w, 1 << 20)), label
 
 
 def test_families_refuse_parameters_out_of_range():
