@@ -13,7 +13,9 @@ weight families whose kernel floor constant kappa = q_1 - (3/2) q_3 is
 positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
 size of f when p is small enough; the experiment here measures both
-sides row by row.
+sides row by row.  Each row takes its multipliers Q_(n-j)/Q_n from one
+chunked pass of ``WeightFamily.Q_chunks``, so the experiment caches no
+prefix sums and its last row holds only its own cells.
 """
 
 from __future__ import annotations
@@ -154,11 +156,15 @@ def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> Wa
 
 def guaranteed_floor(cfg: CounterexampleConfig, k: int) -> float:
     """The provable lower bound for the mean of row k on the quarter cell:
-    (kappa/Q) * 2^(2 a_k (1/p - 1)) * (1/sqrt(a_k) - 1/(8 a_k))."""
-    a = cfg.alphas[k]
+    (kappa/Q) * 2^(2 a_k (1/p - 1)) * (1/sqrt(a_k) - 1/(8 a_k)), with
+    Q = Q_(2^(2a_k+1))."""
     w = cfg.weights
-    kap = kappa(w)
-    Q = w.Q(1 << (2 * a + 1))
+    return _floor(cfg, k, kappa(w), w.Q(2 << (2 * cfg.alphas[k])))
+
+
+def _floor(cfg: CounterexampleConfig, k: int, kap: float, Q: float) -> float:
+    # guaranteed_floor's formula, given kappa and the row's Q_n
+    a = cfg.alphas[k]
     h = cfg.block_height(k)
     return (kap / Q) * h * (1.0 / math.sqrt(a) - 1.0 / (8.0 * a))
 
@@ -202,10 +208,10 @@ THEORY_CONSTANT_FORMULA = (
 )
 
 
-def _theory_constant(cfg: CounterexampleConfig, kap: float) -> float:
+def _theory_constant(cfg: CounterexampleConfig, kap: float, Qs: list[float]) -> float:
+    # Qs holds each row's Q_(2^(2 a_k + 1))
     brackets = []
-    for a in cfg.alphas:
-        Q = cfg.weights.Q(1 << (2 * a + 1))
+    for a, Q in zip(cfg.alphas, Qs):
         brackets.append(
             kap
             * 2.0 ** (2.0 * a * cfg.alpha_exp)
@@ -215,22 +221,35 @@ def _theory_constant(cfg: CounterexampleConfig, kap: float) -> float:
     return 0.25 ** (1.0 / cfg.p) * 0.125 * min(brackets)
 
 
-def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.ndarray]:
+def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.ndarray, float]:
     """t_n f_k at n = 2^(2a_k+1): block e's coefficient scaled by
     Q_(n-j)/Q_n on its indices j in [4^(a_e), 2 4^(a_e)), synthesized.
 
-    Returns the mean and the writable buffer of its cells; the mean
-    adopts a read-only view of it, so the buffer may be given up once the
-    mean is dropped."""
+    The prefix sums are streamed once, a chunk at a time, and Q_m is
+    written at j = n - m wherever j falls in a block; no weight cache is
+    grown.  Each block is then divided by Q_n and scaled by its height
+    and weight, the same two roundings as dividing the cached sums.
+
+    Returns the mean, the writable buffer of its cells and Q_n; the mean
+    adopts a read-only view of the buffer, so the buffer may be given up
+    once the mean is dropped."""
     n = 2 << (2 * cfg.alphas[k])
-    Q = cfg.weights.Q_array(n)
+    blocks = [1 << (2 * a) for a in cfg.alphas[: k + 1]]
     coeffs = np.zeros(n)
-    for e in range(k + 1):
-        size = 1 << (2 * cfg.alphas[e])
+    for start, chunk in cfg.weights.Q_chunks(n):
+        # reversed, the chunk holds Q_m at j - base for j = n - m in [base, n - start)
+        base = n - start - chunk.size
+        for size in blocks:
+            lo, hi = max(size, base), min(2 * size, n - start)
+            if lo < hi:
+                coeffs[lo:hi] = chunk[::-1][lo - base : hi - base]
+    Qn = float(chunk[-1])
+    del chunk  # the stream's scratch, freed before the butterfly takes its own
+    for e, size in enumerate(blocks):
         block = coeffs[size : 2 * size]
-        np.divide(Q[n - size : n - 2 * size : -1], Q[n], out=block)
+        block /= Qn
         block *= cfg.block_height(e) * cfg.block_weight(e)
-    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs.view()), coeffs
+    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs.view()), coeffs, Qn
 
 
 def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
@@ -244,11 +263,14 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     without laying out the prefix spectrum; it equals
     norlund_mean_multiplier on that spectrum bit for bit, and the
     butterfly copies across the zero gaps between blocks.  The
-    measured columns are the exact weak-L_p size of the mean, the
-    measured minimum of |t f_k| on the quarter cell, and the provable
-    floor scaled into the theory_bound column.  The floor is read first;
-    then weak_lp_in_place sorts the mean's own cell buffer, so the last
-    row holds the weight cache and one grid of cells, and no copy.
+    multipliers come from one stream of the row's prefix sums, so the
+    weight cache stays at its head.  The measured columns are the exact
+    weak-L_p size of the mean, the measured minimum of |t f_k| on the
+    quarter cell, and the provable floor scaled into the theory_bound
+    column.  The floor is read first; then weak_lp_in_place sorts the
+    mean's own cell buffer, so the last row holds one grid of cells and
+    chunk-sized scratch, and no copy.  The theory constant and the floors
+    need every row's Q_n, so they are formed after the last row.
     hardy_estimate is the Hardy size of the newest scaled block
     a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
     function is a single plateau;
@@ -258,26 +280,28 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     the Hardy cost of the block that produced it.
     """
     w = cfg.weights
-    # Resolution refuses a schedule past the bit cap before Q is grown
+    # Resolution refuses a schedule past the bit cap before any row is built
     widest = Resolution(cfg.required_bits)
     structure = validate_structure(w, widest.size)
     if not structure.ok:
         raise PreconditionError(
             f"weight family {w.label} fails the structure screen: {structure}"
         )
-    w.Q_array(widest.size)  # grow the weight cache once, for the last row
     kap = kappa(w)
-    c_theory = _theory_constant(cfg, kap)
 
-    rows = []
-    floors_hold = True
+    measured = []  # (weak-L_p size, quarter-cell floor, Q_n) of each row
     for k in range(cfg.K):
-        a = cfg.alphas[k]
-        mean, cells = _row_mean(cfg, k)
+        mean, cells, Qn = _row_mean(cfg, k)
         floor_measured = quarter_cell_min(mean)
         del mean  # the sort overwrites the cells it views
-        weak_value = weak_lp_in_place(cells, cfg.p)
+        measured.append((weak_lp_in_place(cells, cfg.p), floor_measured, Qn))
         del cells  # so the next row is not built beside this one
+
+    c_theory = _theory_constant(cfg, kap, [Qn for _, _, Qn in measured])
+    rows = []
+    floors_hold = True
+    for k, (weak_value, floor_measured, Qn) in enumerate(measured):
+        a = cfg.alphas[k]
         theory = (
             c_theory
             * 2.0 ** (2.0 * a * (1.0 / cfg.p - 1.0 - cfg.alpha_exp))
@@ -286,7 +310,7 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
         rows.append(
             DivergenceRow(k, 2 * a + 1, weak_value, floor_measured, theory, cfg.block_weight(k))
         )
-        if floor_measured < guaranteed_floor(cfg, k) - _FLOOR_TOL:
+        if floor_measured < _floor(cfg, k, kap, Qn) - _FLOOR_TOL:
             floors_hold = False
 
     ratios = [r.ratio for r in rows]

@@ -26,7 +26,7 @@ __all__ = [
 # 2^24 cells (128 MiB of float64 per function) is the largest grid allowed.
 MAX_RESOLUTION_BITS = 24
 
-# quarter_cell_min takes |f| this many cells at a time
+# the finiteness check and quarter_cell_min read this many cells at a time
 _CHUNK = 1 << 16
 
 
@@ -111,8 +111,10 @@ class DyadicFunction:
                 f"expected {resolution.size} values for a {resolution.bits}-bit "
                 f"grid, got {arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("values must be finite")
+        # a chunk at a time, so the check holds no grid-sized mask
+        for start in range(0, arr.size, _CHUNK):
+            if not np.isfinite(arr[start : start + _CHUNK]).all():
+                raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "values", arr)

@@ -92,11 +92,13 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
 def _quarter_cell_coset(v: np.ndarray, a: int) -> np.ndarray:
     # F_A on the cells x = 3 mod 4 of its 2a-bit grid, in the order of
     # x >> 2, from v = q_(A-1), q_(A-3), ..., q_1: d_m = v[2m] - v[2m+1]
-    # = q_(A-4m-1) - q_(A-4m-3), synthesized on 2a - 2 bits
+    # = q_(A-4m-1) - q_(A-4m-3), synthesized on 2a - 2 bits through a
+    # view, which the result marks read-only, so d stays writable and the
+    # caller may take |F_A| in it
     d = v[0::2] - v[1::2]
-    if a == 1:
-        return d  # one coefficient: the synthesis on 0 bits is d_0 itself
-    return synthesize_in_place(Resolution(2 * a - 2), d).values
+    if a > 1:  # on 0 bits, one coefficient d_0 is its own synthesis
+        synthesize_in_place(Resolution(2 * a - 2), d.view())
+    return d
 
 
 def kernel_lower_bound_check(
@@ -135,7 +137,8 @@ def kernel_lower_bound_check(
     reports = []
     for a in block_exps:
         suffix = v[(widest - (1 << (2 * a))) // 2 :]
-        min_abs = float(np.abs(_quarter_cell_coset(suffix, a)).min())
+        coset = _quarter_cell_coset(suffix, a)
+        min_abs = float(np.abs(coset, out=coset).min())
         reports.append(
             KernelBoundReport(w.label, a, 2 * a + 1, min_abs, kap, min_abs >= kap - _BOUND_TOL)
         )

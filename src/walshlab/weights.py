@@ -176,7 +176,10 @@ class WeightFamily:
         of a whole-array generation: the closed forms act elementwise, and
         cesaro's running product is carried across chunks, its first
         factor times the product so far."""
-        j = np.arange(float(min(count, _CHUNK)))  # the chunk's indices, moved on each chunk
+        # the chunk's indices, moved on each chunk: int32 holds every index
+        # below the horizon in half the bytes, and copyto turns it into
+        # float64 exactly without a cast buffer
+        j = np.arange(min(count, _CHUNK), dtype=np.int32)
         scratch = np.empty(j.size) if out is None else None
         carry = 1.0  # cesaro's q_(start-1)
         for start in range(0, count, _CHUNK):
@@ -194,14 +197,16 @@ class WeightFamily:
                 # product; q_0 = 1 has no factor, which keeps j = 0 from 0/0
                 skip = 0 if start else 1
                 chunk[:skip] = 1.0
-                np.add(x[skip:], self.params[0] - 1.0, out=chunk[skip:])
+                np.copyto(chunk[skip:], x[skip:])
+                chunk[skip:] += self.params[0] - 1.0
                 chunk[skip:] /= x[skip:]
                 if start:
                     chunk[0] *= carry
                 np.cumprod(chunk, out=chunk)
                 carry = float(chunk[-1])
             else:
-                np.add(x, 1.0, out=chunk)
+                np.copyto(chunk, x)
+                chunk += 1.0
                 if self.kind == "vlog" and not start:
                     self._closed_form(chunk[1:])
                     chunk[0] = self.params[0]
@@ -210,31 +215,19 @@ class WeightFamily:
             yield start, chunk
 
     def _ensure(self, count: int) -> None:
-        """Grow the cache so Q_0..Q_count exist.
-
-        The weights are written straight into the prefix-sum buffer, a
-        chunk at a time, and each chunk is summed in place with the sum
-        carried across chunks, so growing the cache holds one array of
-        count + 1 entries and one chunk of scratch; a custom family is
-        summed straight from the weights it keeps.  numpy accumulates in
-        order, so the sums are bit for bit those of one cumsum."""
+        """Grow the cache so Q_0..Q_count exist: ``Q_chunks`` streamed
+        into the prefix-sum buffer, so growing the cache holds one array of
+        count + 1 entries and one chunk of scratch."""
         if count < self._qsum.size:
             return
         if self.kind != "custom" and count <= MAX_WEIGHT_HORIZON:
             # at least double, so rising orders regenerate the prefix rarely
             count = min(max(count, 2 * (self._qsum.size - 1)), MAX_WEIGHT_HORIZON)
-        self._admit(count)
+        self._admit(count)  # before the buffer; the stream admits it again
         qsum = np.empty(count + 1)
         qsum[0] = 0.0  # Q_0
-        if self.kind == "custom":
-            np.cumsum(self.params[:count], out=qsum[1:])
-        else:
-            carry = 0.0
-            for start, chunk in self._chunks(count, qsum[1:]):
-                if start:
-                    chunk[0] += carry
-                np.cumsum(chunk, out=chunk)
-                carry = float(chunk[-1])
+        for _ in self.Q_chunks(count, qsum[1:]):
+            pass
         self._qsum = qsum
 
     # -- access ------------------------------------------------------
@@ -278,6 +271,29 @@ class WeightFamily:
         out = np.arange(count, 1.0, -2.0)
         self._closed_form(out)
         return out
+
+    def Q_chunks(
+        self, count: int, out: np.ndarray | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Stream the prefix sums Q_1..Q_count without caching them: yield
+        (start, chunk), where chunk holds Q_(start+1)..Q_(start+chunk.size),
+        _CHUNK sums at a time.
+
+        They are written into ``out`` (of count entries) when it is given,
+        and otherwise into one scratch chunk that the next step reuses, so
+        a caller keeps what it needs of a chunk before asking for the next.
+        The weights are written into the chunk and summed in place, the sum
+        carried across chunks; numpy accumulates in order, so every sum is
+        bit for bit that of one cumsum, whatever the count, and equals the
+        cache's ``Q_array``."""
+        self._admit(count)
+        carry = 0.0
+        for start, chunk in self._chunks(count, out):
+            if start:
+                chunk[0] += carry
+            np.cumsum(chunk, out=chunk)
+            carry = float(chunk[-1])
+            yield start, chunk
 
     def Q(self, n: int) -> float:
         """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0."""

@@ -221,6 +221,21 @@ def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     assert max(sums) == 4, sums
 
 
+def test_diverge_grows_no_prefix_sums_past_the_head(tmp_path, monkeypatch, capsys):
+    # each row streams its own prefix sums, so the cache stays at the
+    # initial head Q_0..Q_4 (the golden files hold the rows' bytes)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("family = log\np = 0.75\nalphas = 1..5\n")
+    sums = []
+    ensure = walshlab.WeightFamily._ensure
+    monkeypatch.setattr(
+        walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)
+    )
+    code, _, err = run(capsys, "diverge", "--config", str(cfg))
+    assert code == 0, err
+    assert max(sums) == 4, sums
+
+
 def test_lemma2_too_few_custom_weights_is_config_error(tmp_path, capsys):
     path = tmp_path / "w.txt"
     path.write_text("".join(f"{1 / j!r}\n" for j in range(1, 21)))

@@ -253,7 +253,7 @@ def test_folded_row_means_match_the_multiplier_route(label, p):
         for k, a in enumerate(alphas):
             r = Resolution(2 * a + 1)
             expect = norlund_mean_multiplier(WalshSpectrum(r, coeffs[: r.size]), r.size, w)
-            got, _ = _row_mean(cfg, k)
+            got, _, _ = _row_mean(cfg, k)
             assert got.values.tobytes() == expect.values.tobytes(), (alphas, k)
             assert rows[k].weak_lp_value == weak_lp(expect, p)
             assert rows[k].pointwise_floor == quarter_cell_min(expect)
@@ -270,7 +270,7 @@ def test_measured_floor_beats_guaranteed_floor():
 def test_floor_below_the_guarantee_fails_only_the_floor_verdict(monkeypatch):
     cfg = log_cfg()
     honest = divergence_experiment(cfg)
-    monkeypatch.setattr(walshlab.counterexample, "guaranteed_floor", lambda cfg, k: math.inf)
+    monkeypatch.setattr(walshlab.counterexample, "_floor", lambda cfg, k, kap, Q: math.inf)
     rep = divergence_experiment(cfg)
     assert rep.floors_hold is False
     assert rep.ok is False
@@ -349,8 +349,8 @@ def test_monitor_rows_match_literal_mean(label):
 
 @pytest.mark.parametrize("label", MONITOR_FAMILIES)
 def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
-    # one cache for every row, and the rows are those of a cache grown
-    # further beforehand, bit for bit
+    # one stream of prefix sums fills one cache for every row, and the
+    # rows are those of a cache grown further beforehand, bit for bit
     r = Resolution(12)
     f = DyadicFunction(r, np.random.default_rng(205).standard_normal(r.size))
     warm = parse_family(label)
@@ -358,29 +358,28 @@ def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
     expect = bounded_case_monitor(f, warm, 0.75)
     cold = parse_family(label)
     sizes = []
-    admit = WeightFamily._admit
-    monkeypatch.setattr(
-        WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
-    )
+    stream = WeightFamily.Q_chunks
+
+    def counted(w, count, out=None):
+        sizes.append(count)
+        return stream(w, count, out)
+
+    monkeypatch.setattr(WeightFamily, "Q_chunks", counted)
     assert bounded_case_monitor(f, cold, 0.75) == expect
     assert sizes == [r.size], sizes
 
 
-def test_experiment_grows_the_weight_cache_once(monkeypatch):
-    # one Q-sized generation for every row (the rest are the 5-term
-    # structure head and kappa's weights), and the rows are those of a
-    # cache grown further beforehand, bit for bit
-    cfg = CounterexampleConfig(p=0.75, weights=WeightFamily.logarithmic(), alphas=(1, 3, 5))
-    warm = WeightFamily.logarithmic()
-    warm.Q(1 << 13)
-    expect = divergence_experiment(replace(cfg, weights=warm)).rows
-    sizes = []
-    admit = WeightFamily._admit
-    monkeypatch.setattr(
-        WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
-    )
-    assert divergence_experiment(cfg).rows == expect
-    assert [s for s in sizes if s > 5] == [1 << 11], sizes
+def test_experiment_leaves_the_weight_cache_at_its_head():
+    # each row streams its own prefix sums, so no sums past Q_0..Q_4 are
+    # cached, and the report is that of a family whose cache was grown
+    # beforehand, bit for bit
+    for label in ("log", "cesaro:0.25", "vlog"):
+        cfg = CounterexampleConfig(p=0.75, weights=parse_family(label), alphas=(1, 3, 5))
+        warm = parse_family(label)
+        warm.Q(1 << 13)
+        expect = divergence_experiment(replace(cfg, weights=warm))
+        assert divergence_experiment(cfg) == expect, label
+        assert cfg.weights._qsum.size == 5, label
 
 
 def test_monitor_rejects_zero_function():

@@ -132,6 +132,41 @@ def test_regrown_cache_matches_the_whole_array_oracle(label):
     assert same_bits(w.Q_array(1 << 20), prefix_sums_whole(w, 1 << 20)), label
 
 
+STREAM_COUNTS = (1, 2, 3, 4, 5, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 5)
+STREAM_FAMILIES = ("fejer", "log", "cesaro:0.25", "cesaro:0.8", "ualpha:0.3", "vlog", "custom")
+
+
+@pytest.mark.parametrize("label", STREAM_FAMILIES)
+def test_prefix_sum_stream_matches_the_cache(label):
+    # Q_1..Q_count streamed into scratch and into a caller's array, each
+    # against the cache's Q_array, bit for bit
+    cached = generator_family(label)
+    for count in STREAM_COUNTS:
+        expect = cached.Q_array(count)[1:]
+        w = generator_family(label)
+        streamed = np.empty(count)
+        scratch = set()
+        for start, chunk in w.Q_chunks(count):
+            assert chunk.size == min(1 << 16, count - start), (label, count, start)
+            scratch.add(chunk.__array_interface__["data"][0])
+            streamed[start : start + chunk.size] = chunk
+        assert len(scratch) == 1, (label, count)  # one chunk, reused
+        assert same_bits(streamed, expect), (label, count)
+        out = np.empty(count)
+        starts = [start for start, chunk in w.Q_chunks(count, out)]
+        assert starts == list(range(0, count, 1 << 16)), (label, count)
+        assert same_bits(out, expect), (label, count)
+        if label != "custom":  # a custom family is cached whole when made
+            assert w._qsum.size == 5, (label, count)  # the stream caches nothing
+
+
+def test_prefix_sum_stream_refuses_what_the_cache_refuses():
+    with pytest.raises(ResourceCapError):
+        next(WeightFamily.logarithmic().Q_chunks((1 << 24) + 1))
+    with pytest.raises(DegreeError, match="defines only 3 weights"):
+        next(WeightFamily.custom([1.0, 0.5, 0.25]).Q_chunks(4))
+
+
 def test_families_refuse_parameters_out_of_range():
     with pytest.raises(ValueError, match="ualpha order must lie in"):
         WeightFamily.ualpha(1.5)
