@@ -176,10 +176,7 @@ class WeightFamily:
         of a whole-array generation: the closed forms act elementwise, and
         cesaro's running product is carried across chunks, its first
         factor times the product so far."""
-        # the chunk's indices, moved on each chunk: int32 holds every index
-        # below the horizon in half the bytes, and copyto turns it into
-        # float64 exactly without a cast buffer
-        j = np.arange(min(count, _CHUNK), dtype=np.int32)
+        j = np.arange(float(min(count, _CHUNK)))  # the chunk's indices, moved on each chunk
         scratch = np.empty(j.size) if out is None else None
         carry = 1.0  # cesaro's q_(start-1)
         for start in range(0, count, _CHUNK):
@@ -197,16 +194,14 @@ class WeightFamily:
                 # product; q_0 = 1 has no factor, which keeps j = 0 from 0/0
                 skip = 0 if start else 1
                 chunk[:skip] = 1.0
-                np.copyto(chunk[skip:], x[skip:])
-                chunk[skip:] += self.params[0] - 1.0
+                np.add(x[skip:], self.params[0] - 1.0, out=chunk[skip:])
                 chunk[skip:] /= x[skip:]
                 if start:
                     chunk[0] *= carry
                 np.cumprod(chunk, out=chunk)
                 carry = float(chunk[-1])
             else:
-                np.copyto(chunk, x)
-                chunk += 1.0
+                np.add(x, 1.0, out=chunk)
                 if self.kind == "vlog" and not start:
                     self._closed_form(chunk[1:])
                     chunk[0] = self.params[0]

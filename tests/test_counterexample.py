@@ -349,8 +349,10 @@ def test_monitor_rows_match_literal_mean(label):
 
 @pytest.mark.parametrize("label", MONITOR_FAMILIES)
 def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
-    # one stream of prefix sums fills one cache for every row, and the
-    # rows are those of a cache grown further beforehand, bit for bit
+    # one cache for every row, and the rows are those of a cache grown
+    # further beforehand, bit for bit; every weight generation is admitted,
+    # and the only one is the stream that fills the cache (admitted once by
+    # _ensure before it allocates, once by the stream itself)
     r = Resolution(12)
     f = DyadicFunction(r, np.random.default_rng(205).standard_normal(r.size))
     warm = parse_family(label)
@@ -358,15 +360,12 @@ def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
     expect = bounded_case_monitor(f, warm, 0.75)
     cold = parse_family(label)
     sizes = []
-    stream = WeightFamily.Q_chunks
-
-    def counted(w, count, out=None):
-        sizes.append(count)
-        return stream(w, count, out)
-
-    monkeypatch.setattr(WeightFamily, "Q_chunks", counted)
+    admit = WeightFamily._admit
+    monkeypatch.setattr(
+        WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
+    )
     assert bounded_case_monitor(f, cold, 0.75) == expect
-    assert sizes == [r.size], sizes
+    assert sizes == [r.size, r.size], sizes
 
 
 def test_experiment_leaves_the_weight_cache_at_its_head():
