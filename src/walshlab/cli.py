@@ -31,12 +31,11 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Sequence, TextIO
 
 import numpy as np
 
@@ -103,59 +102,91 @@ _FORMATS = ("csv", "json")
 _EMIT_ROWS = 1 << 12
 
 
-def _chunk_text(chunk: list[Sequence[Any]], columns: Sequence[str], fmt: str,
+def _json_number(text: str) -> str:
+    """json.dumps of float(text), for a "%.9g" text with no '.' or with an
+    exponent, "nan" and "inf" among them.  No two decimals of at most 15
+    significant digits round to one normal double, so repr writes the
+    text's own digits, and only its layout can differ: "1.0" for "1", and
+    fixed notation for decimal exponents 9..15.  A subnormal carries fewer
+    digits, so below 1e-307 repr is asked."""
+    _, e, exponent = text.partition("e")
+    if not e:
+        # "nan", "inf" and "-inf" are spelled by json itself
+        return text + ".0" if text[-1].isdigit() else json.dumps(float(text))
+    if 9 <= int(exponent) <= 15 or int(exponent) < -307:
+        return repr(float(text))
+    return text
+
+
+def _chunk_text(chunk: Sequence[Sequence[Any]], columns: Sequence[str], fmt: str,
                 full: bool) -> str | None:
-    """One chunk of table rows as text, made by one % over a row template
-    repeated once per row, with the cells passed flat in row order.  An
-    all-int column is %d and an all-float one %.9g or %r: numerals CSV never
-    quotes.  In JSON any other column is %s of json.dumps of _json_cell; a
-    CSV chunk with one is None, for csv.writer to write."""
+    """One chunk of a table as text, given one sequence of cells per
+    column, made by one % over a row template repeated once per row; each
+    column fills every width-th slot of the flat argument list.  An
+    all-int column is %d and an all-float one %.9g or %r: numerals CSV
+    never quotes.  A 9-digit JSON float is %s of its "%.9g" text, laid out
+    as json.dumps lays out the float of that text.  In JSON any other
+    column is %s of json.dumps of _json_cell; a CSV chunk with one is
+    None, for csv.writer to write."""
     width = len(columns)
-    flat = list(itertools.chain.from_iterable(chunk))
+    rows = len(chunk[0])
+    flat: list[Any] = [None] * (rows * width)
     specs = []
-    for j in range(width):
-        column = flat[j::width]
+    for j, column in enumerate(chunk):
         kinds = set(map(type, column))
         if kinds == {int}:
-            specs.append("%d")
-        elif kinds == {float} and (fmt == "csv" or all(map(math.isfinite, column))):
-            if fmt == "json" and not full:
-                # json writes the float of the 9-digit text by float.__repr__
-                flat[j::width] = map(float, map("%.9g".__mod__, column))
-            specs.append("%.9g" if fmt == "csv" and not full else "%r")
+            spec = "%d"
+        elif kinds == {float} and fmt == "csv":
+            spec = "%r" if full else "%.9g"
+        elif kinds == {float} and not full:
+            spec = "%s"
+            column = [
+                t if "." in t and "e" not in t else _json_number(t)
+                for t in map("%.9g".__mod__, column)
+            ]
+        elif kinds == {float} and all(map(math.isfinite, column)):
+            spec = "%r"
         elif fmt == "csv":
             return None
         else:
+            spec = "%s"
             # a row's values sit three levels deep in the indent=2 layout
-            flat[j::width] = [
+            column = [
                 json.dumps(_json_cell(v, full), indent=2).replace("\n", "\n      ")
                 for v in column
             ]
-            specs.append("%s")
+        specs.append(spec)
+        flat[j::width] = column
     if fmt == "csv":
         row = ",".join(specs) + "\n"
     else:
         keys = (json.dumps(c).replace("%", "%%") for c in columns)
         # each row leads with its separator; the first one's comma is dropped
         row = ",\n    {\n" + ",\n".join(f"      {k}: {s}" for k, s in zip(keys, specs)) + "\n    }"
-    return row * len(chunk) % tuple(flat)
+    return row * rows % tuple(flat)
 
 
 def _emit(
     args: argparse.Namespace,
     columns: Sequence[str],
-    rows: Iterable[Sequence[Any]],
+    data: Sequence[Sequence[Any]],
     meta: dict[str, Any],
 ) -> None:
     """Write one table to ``args.out`` (or stdout) in ``args.format``.
 
-    The bytes are those of csv.writer over _csv_cell cells, or of
-    json.dumps(indent=2) over _json_cell cells.  The rows are taken
-    _EMIT_ROWS at a time and each chunk is written as _chunk_text makes it,
-    so the whole output text is never held."""
+    ``data`` holds one sequence per column, of equal lengths: a float64
+    array, a range or a list.  The bytes are those of csv.writer over
+    _csv_cell cells, or of json.dumps(indent=2) over _json_cell cells, row
+    by row.  Each column is sliced _EMIT_ROWS rows at a time, an array
+    slice made Python numbers by tolist, and each chunk is written as
+    _chunk_text makes it, so the whole output text is never held."""
     fmt, full = args.format, args.full_precision
-    rows = iter(rows)
-    chunks = iter(lambda: list(itertools.islice(rows, _EMIT_ROWS)), [])
+    size = len(data[0])
+    chunks = (
+        [c.tolist() if isinstance(c, np.ndarray) else c
+         for c in (column[start : start + _EMIT_ROWS] for column in data)]
+        for start in range(0, size, _EMIT_ROWS)
+    )
     with (
         open(args.out, "w", encoding="utf-8", newline="")
         if args.out
@@ -167,7 +198,7 @@ def _emit(
             for chunk in chunks:
                 text = _chunk_text(chunk, columns, fmt, full)
                 if text is None:
-                    writer.writerows([_csv_cell(v, full) for v in row] for row in chunk)
+                    writer.writerows([_csv_cell(v, full) for v in row] for row in zip(*chunk))
                 else:
                     out.write(text)
             return
@@ -184,13 +215,10 @@ def _emit(
         out.write(f"\n  ]{tail}\n")
 
 
-def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], Iterator]:
-    """Columns and rows of a per-cell table: (index, value) pairs, made as
-    they are written, so only _EMIT_ROWS cells are Python floats at once."""
-    cells = itertools.chain.from_iterable(
-        values[j : j + _EMIT_ROWS].tolist() for j in range(0, values.size, _EMIT_ROWS)
-    )
-    return ("index", column), enumerate(cells)
+def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], tuple[range, np.ndarray]]:
+    """Columns of a per-cell table: the cell indices and the values, which
+    _emit makes Python floats one chunk of rows at a time."""
+    return ("index", column), (range(values.size), values)
 
 
 def _note(line: str) -> None:
@@ -369,9 +397,10 @@ def _cells_from_spec(spec: str, resolution: Resolution, seed: int | None) -> np.
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (columns, rows, meta, exit status) for main to emit
+# subcommands: each returns (columns, one sequence of cells per column,
+# meta, exit status) for main to emit
 
-_Table = tuple[Sequence[str], Iterable[Sequence[Any]], dict[str, Any], int]
+_Table = tuple[Sequence[str], Sequence[Sequence[Any]], dict[str, Any], int]
 
 
 def _cmd_transform(args: argparse.Namespace) -> _Table:
@@ -432,7 +461,7 @@ def _cmd_kappa(args: argparse.Namespace) -> _Table:
         w = parse_family(label)
         value = kappa(w)
         rows.append((w.label, value, value > 0.0, thresholds.get(w.kind)))
-    return ("family", "kappa", "positive", "threshold"), rows, {}, 0
+    return ("family", "kappa", "positive", "threshold"), tuple(zip(*rows)), {}, 0
 
 
 def _cmd_lemma2(args: argparse.Namespace) -> _Table:
@@ -442,11 +471,12 @@ def _cmd_lemma2(args: argparse.Namespace) -> _Table:
          rep.passed, rep.kappa <= 0.0)
         for rep in kernel_lower_bound_check(w, _parse_alphas(args.alphas))
     ]
-    passed = sum(1 for r in rows if r[5])
+    data = tuple(zip(*rows))
+    passed = sum(data[5])
     kap = kappa(w)
     _note(f"lemma2: {w.label}, kappa = {kap:.9g}, {passed}/{len(rows)} rows passed")
     columns = ("family", "alpha", "n", "min_abs_kernel", "kappa", "passed", "vacuous")
-    return columns, rows, {"family": w.label, "kappa": kap}, 0 if passed == len(rows) else 3
+    return columns, data, {"family": w.label, "kappa": kap}, 0 if passed == len(rows) else 3
 
 
 def _cmd_diverge(args: argparse.Namespace) -> _Table:
@@ -485,7 +515,7 @@ def _cmd_diverge(args: argparse.Namespace) -> _Table:
         "floors_hold": report.floors_hold,
         "ok": report.ok,
     }
-    return columns, rows, meta, 0 if report.ok else 3
+    return columns, tuple(zip(*rows)), meta, 0 if report.ok else 3
 
 
 def _cmd_monitor(args: argparse.Namespace) -> _Table:
@@ -498,7 +528,7 @@ def _cmd_monitor(args: argparse.Namespace) -> _Table:
     meta = {"family": w.label, "p": args.p, "n": resolution.bits, "f": args.f}
     if args.f == "rand":
         meta["seed"] = args.seed or 0
-    return ("n", "ratio"), pairs, meta, 0
+    return ("n", "ratio"), tuple(zip(*pairs)), meta, 0
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +634,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # an overflow raises here, not as numpy warnings and inf or NaN cells
         with np.errstate(over="raise", invalid="raise"):
-            columns, rows, meta, status = args.func(args)
+            columns, data, meta, status = args.func(args)
         meta = {"command": args.command, "version": __version__} | meta
         try:
-            _emit(args, columns, rows, meta)
+            _emit(args, columns, data, meta)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early: not bad input, and nothing to say

@@ -2,10 +2,13 @@
 
 import argparse
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walshlab.cli as cli
 from oracles import emit_text
@@ -19,6 +22,11 @@ SPECIAL = [
     -2.5e-300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, math.pi,
 ]
 NONFINITE = [math.nan, math.inf, -math.inf]
+# subnormals, the least normal, and texts that carry into exponents 9 and 16
+JSON_EDGES = [
+    5e-324, 2.2250738585072014e-308, 1e-308, 999999999.5, 9.9999999995e15, 1e15,
+    123456789.5, 1234567890.0, 3.0, -0.0,
+]
 
 META = {
     "command": "test",
@@ -34,9 +42,15 @@ META = {
 
 
 def emitted(capsys, columns, rows, meta, fmt, full, out=None) -> str:
+    """What _emit writes for the table, handed to it column by column."""
     args = argparse.Namespace(format=fmt, full_precision=full, out=out)
-    cli._emit(args, columns, iter(rows), meta)
+    cli._emit(args, columns, [[row[j] for row in rows] for j in range(len(columns))], meta)
     return capsys.readouterr().out
+
+
+def rows_of(data) -> list[tuple]:
+    """The rows of a table given as columns, in the Python types _emit writes."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in data)))
 
 
 def assert_same(got: str, expect: str) -> None:
@@ -149,9 +163,9 @@ def test_cli_tables_match_oracle(fmt, full, monkeypatch, tmp_path, capsys):
     # main's own tables, several chunks long, written to --out
     real_emit, seen = cli._emit, []
 
-    def spy(args, columns, rows, meta):
-        seen.append((columns, list(rows), meta))
-        real_emit(args, columns, seen[-1][1], meta)
+    def spy(args, columns, data, meta):
+        seen.append((columns, rows_of(data), meta))
+        real_emit(args, columns, data, meta)
 
     monkeypatch.setattr(cli, "_emit", spy)
     path = tmp_path / "out"
@@ -169,3 +183,35 @@ def test_cli_tables_match_oracle(fmt, full, monkeypatch, tmp_path, capsys):
         columns, rows, meta = seen[-1]
         expect = emit_text(columns, rows, meta, fmt, full)
         assert_same(path.read_bytes().decode("utf-8"), expect)
+
+
+def json_cell_texts(values) -> list[str]:
+    """The text of each cell of a one-column 9-digit JSON chunk."""
+    text = cli._chunk_text([list(values)], ("v",), "json", False)
+    return [line.partition('"v": ')[2] for line in text.splitlines() if '"v": ' in line]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | (
+    st.integers(0, 2**64 - 1).map(from_bits).filter(math.isfinite)
+)
+
+
+@given(st.lists(FINITE, min_size=1, max_size=64))
+@settings(max_examples=400)
+def test_json_float_text_is_repr_of_its_9_digit_float(values):
+    # what json.dumps(float("%.9g" % v)) writes, for any finite double
+    assert json_cell_texts(values) == [repr(float("%.9g" % v)) for v in values]
+
+
+def test_json_float_text_at_the_layout_edges():
+    # the listed edges, and at every decimal exponent the doubles around
+    # 9.999999995e(k), where the 9-digit text carries into exponent k + 1
+    carries = np.array([9.999999995 * 10.0**k for k in range(-324, 308)])
+    carries = carries[carries > 0]
+    around = np.concatenate([np.nextafter(carries, 0), carries, np.nextafter(carries, np.inf)])
+    values = JSON_EDGES + [-v for v in JSON_EDGES] + around.tolist() + (-around).tolist()
+    assert json_cell_texts(values) == [repr(float("%.9g" % v)) for v in values]

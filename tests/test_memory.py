@@ -224,9 +224,10 @@ def test_structure_screen_reads_the_cache_in_place():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_streams_a_large_table(fmt, tmp_path):
-    rows = list(enumerate(random_function(BITS).values.tolist()))
+    values = random_function(BITS).values
     args = argparse.Namespace(format=fmt, full_precision=False, out=str(tmp_path / "t"))
-    peak = traced_peak(lambda: cli._emit(args, ("index", "value"), rows, {"n": BITS}))
+    data = (range(values.size), values)
+    peak = traced_peak(lambda: cli._emit(args, ("index", "value"), data, {"n": BITS}))
     assert peak < 4 << 20, peak / (1 << 20)
 
 
