@@ -46,7 +46,8 @@ def main() -> None:
     print("\nmean multipliers Q_(n-j)/Q_n at n = 8 (how each family damps")
     print("the top of the spectrum):")
     for w in families:
-        m = w.Q_array(8)[8:0:-1] / w.Q(8)
+        Q = w.Q_array(8)
+        m = Q[8:0:-1] / Q[8]
         print(f"  {w.label:<12}: {np.round(m, 4).tolist()}")
 
     a = 2

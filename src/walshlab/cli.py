@@ -122,18 +122,26 @@ def _chunk_text(chunk: Sequence[Sequence[Any]], columns: Sequence[str], fmt: str
                 full: bool) -> str | None:
     """One chunk of a table as text, given one sequence of cells per
     column, made by one % over a row template repeated once per row; each
-    column fills every width-th slot of the flat argument list.  An
-    all-int column is %d and an all-float one %.9g or %r: numerals CSV
-    never quotes.  A 9-digit JSON float is %s of its "%.9g" text, laid out
-    as json.dumps lays out the float of that text.  In JSON any other
-    column is %s of json.dumps of _json_cell; a CSV chunk with one is
-    None, for csv.writer to write."""
+    column fills every width-th slot of the flat argument list.  A range
+    or an all-int column is %d, and a float64 array or an all-float
+    column %.9g or %r: numerals CSV never quotes.  Only a list or tuple
+    column has its cells' types read.  A 9-digit JSON float is %s of its
+    "%.9g" text, laid out as json.dumps lays out the float of that text.
+    In JSON any other column is %s of json.dumps of _json_cell; a CSV
+    chunk with one is None, for csv.writer to write."""
     width = len(columns)
     rows = len(chunk[0])
     flat: list[Any] = [None] * (rows * width)
     specs = []
     for j, column in enumerate(chunk):
-        kinds = set(map(type, column))
+        if isinstance(column, range):
+            kinds, finite = {int}, True
+        elif isinstance(column, np.ndarray):
+            kinds, finite = {float}, bool(np.isfinite(column).all())
+            column = column.tolist()
+        else:
+            kinds = set(map(type, column))
+            finite = kinds == {float} and all(map(math.isfinite, column))
         if kinds == {int}:
             spec = "%d"
         elif kinds == {float} and fmt == "csv":
@@ -144,7 +152,7 @@ def _chunk_text(chunk: Sequence[Sequence[Any]], columns: Sequence[str], fmt: str
                 t if "." in t and "e" not in t else _json_number(t)
                 for t in map("%.9g".__mod__, column)
             ]
-        elif kinds == {float} and all(map(math.isfinite, column)):
+        elif kinds == {float} and finite:
             spec = "%r"
         elif fmt == "csv":
             return None
@@ -177,14 +185,13 @@ def _emit(
     ``data`` holds one sequence per column, of equal lengths: a float64
     array, a range or a list.  The bytes are those of csv.writer over
     _csv_cell cells, or of json.dumps(indent=2) over _json_cell cells, row
-    by row.  Each column is sliced _EMIT_ROWS rows at a time, an array
-    slice made Python numbers by tolist, and each chunk is written as
-    _chunk_text makes it, so the whole output text is never held."""
+    by row.  Each column is sliced _EMIT_ROWS rows at a time, and each
+    chunk is written as _chunk_text makes it, so the whole output text is
+    never held."""
     fmt, full = args.format, args.full_precision
     size = len(data[0])
     chunks = (
-        [c.tolist() if isinstance(c, np.ndarray) else c
-         for c in (column[start : start + _EMIT_ROWS] for column in data)]
+        [column[start : start + _EMIT_ROWS] for column in data]
         for start in range(0, size, _EMIT_ROWS)
     )
     with (
@@ -217,7 +224,7 @@ def _emit(
 
 def _indexed(values: np.ndarray, column: str) -> tuple[tuple[str, str], tuple[range, np.ndarray]]:
     """Columns of a per-cell table: the cell indices and the values, which
-    _emit makes Python floats one chunk of rows at a time."""
+    _chunk_text makes Python floats one chunk of rows at a time."""
     return ("index", column), (range(values.size), values)
 
 

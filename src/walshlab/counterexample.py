@@ -14,8 +14,8 @@ positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
 size of f when p is small enough; the experiment here measures both
 sides row by row.  Each row takes its multipliers Q_(n-j)/Q_n from one
-chunked pass of ``WeightFamily.Q_chunks``, so the experiment caches no
-prefix sums and its last row holds only its own cells.
+chunked pass of ``WeightFamily.Q_chunks``, written straight into its
+coefficients, so its last row holds only its own cells.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.nda
     Q_(n-j)/Q_n on its indices j in [4^(a_e), 2 4^(a_e)), synthesized.
 
     The prefix sums are streamed once, a chunk at a time, and Q_m is
-    written at j = n - m wherever j falls in a block; no weight cache is
-    grown.  Each block is then divided by Q_n and scaled by its height
-    and weight, the same two roundings as dividing the cached sums.
+    written at j = n - m wherever j falls in a block, so no array of them
+    is made.  Each block is then divided by Q_n and scaled by its height
+    and weight, the same two roundings as norlund_mean_in_place's.
 
     Returns the mean, the writable buffer of its cells and Q_n; the mean
     adopts a read-only view of the buffer, so the buffer may be given up
@@ -263,14 +263,14 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     without laying out the prefix spectrum; it equals
     norlund_mean_multiplier on that spectrum bit for bit, and the
     butterfly copies across the zero gaps between blocks.  The
-    multipliers come from one stream of the row's prefix sums, so the
-    weight cache stays at its head.  The measured columns are the exact
-    weak-L_p size of the mean, the measured minimum of |t f_k| on the
-    quarter cell, and the provable floor scaled into the theory_bound
-    column.  The floor is read first; then weak_lp_in_place sorts the
-    mean's own cell buffer, so the last row holds one grid of cells and
-    chunk-sized scratch, and no copy.  The theory constant and the floors
-    need every row's Q_n, so they are formed after the last row.
+    multipliers come from one stream of the row's prefix sums.  The
+    measured columns are the exact weak-L_p size of the mean, the
+    measured minimum of |t f_k| on the quarter cell, and the provable
+    floor scaled into the theory_bound column.  The floor is read first;
+    then weak_lp_in_place sorts the mean's own cell buffer, so the last
+    row holds one grid of cells and chunk-sized scratch, and no copy.
+    The theory constant and the floors need every row's Q_n, so they are
+    formed after the last row.
     hardy_estimate is the Hardy size of the newest scaled block
     a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
     function is a single plateau;
@@ -342,12 +342,14 @@ def bounded_case_monitor_in_place(
 
     1. the Hardy size, which reads the cells;
     2. the forward transform, in place in the cell buffer;
-    3. the weight cache, grown once for the last row;
-    4. rows n < N, each in a fresh buffer of 2^max(n,1) coefficients;
-    5. row N, in place in the spectrum's own buffer.
+    3. rows n < N, each in a fresh buffer of 2^max(n,1) coefficients;
+    4. row N, in place in the spectrum's own buffer.
 
-    At row N - 1 that is the cache, the spectrum and a half-size row: 2.5
-    grid arrays.  The caller must not use the buffer again.
+    Each row's mean streams its own 2^n + 1 prefix sums into a fresh
+    array and drops them before its synthesis.  At row N - 1 that is the
+    spectrum, a half-size row and its half-size sums, and at row N the
+    spectrum and its sums: 2 grid arrays and a chunk of scratch.  The
+    caller must not use the buffer again.
 
     t_(2^n) f combines only the characters w_j with j < 2^n, and those
     depend only on the first n coordinates: the mean is measurable with
@@ -365,7 +367,6 @@ def bounded_case_monitor_in_place(
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
     coeffs = analyze_in_place(resolution, cells.view()).coefficients
-    w.Q_array(resolution.size)
     out = []
     for n in range(resolution.bits):
         row = Resolution(max(n, 1))

@@ -83,9 +83,11 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
     if resolution.bits < 2 * a + 1:
         raise DegreeError(f"block exponent {a} needs at least {2 * a + 1} bits")
     A = 1 << (2 * a)
+    Q = w.Q_array(A + 1)
     coeffs = np.zeros(resolution.size)
-    coeffs[:A] = w.Q(A + 1)
-    coeffs[A : 2 * A] = w.Q_array(A)[A:0:-1]
+    coeffs[:A] = Q[A + 1]
+    coeffs[A : 2 * A] = Q[A:0:-1]
+    del Q  # freed before the butterfly takes its own scratch
     return synthesize_in_place(resolution, coeffs)
 
 

@@ -73,21 +73,19 @@ _CHUNK = 1 << 16
 
 
 class WeightFamily:
-    """A Nörlund weight sequence with lazily grown, cached prefix sums.
+    """A Nörlund weight sequence, generated and summed on demand, a chunk
+    at a time; a family keeps nothing but its kind and parameters.
 
     ``params`` is a built-in kind's tuple of parameters, or a custom
     family's weights as one read-only float64 array.
     """
 
-    __slots__ = ("kind", "params", "_qsum")
+    __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple) -> None:
-        # Use the fejer()/logarithmic()/... constructors instead.  A custom
-        # family is cached whole; built-in kinds start with a 4-term head.
+        # Use the fejer()/logarithmic()/... constructors instead.
         self.kind = kind
         self.params = params
-        self._qsum = np.zeros(1)  # Q_0
-        self._ensure(len(params) if kind == "custom" else 4)
 
     # -- constructors ------------------------------------------------
 
@@ -136,7 +134,7 @@ class WeightFamily:
         arr.setflags(write=False)
         return cls("custom", arr)
 
-    # -- cache plumbing ----------------------------------------------
+    # -- generation --------------------------------------------------
 
     def _admit(self, count: int) -> None:
         """Refuse q_0..q_(count-1) past a custom family's end or the weight
@@ -209,22 +207,6 @@ class WeightFamily:
                     self._closed_form(chunk)
             yield start, chunk
 
-    def _ensure(self, count: int) -> None:
-        """Grow the cache so Q_0..Q_count exist: ``Q_chunks`` streamed
-        into the prefix-sum buffer, so growing the cache holds one array of
-        count + 1 entries and one chunk of scratch."""
-        if count < self._qsum.size:
-            return
-        if self.kind != "custom" and count <= MAX_WEIGHT_HORIZON:
-            # at least double, so rising orders regenerate the prefix rarely
-            count = min(max(count, 2 * (self._qsum.size - 1)), MAX_WEIGHT_HORIZON)
-        self._admit(count)  # before the buffer; the stream admits it again
-        qsum = np.empty(count + 1)
-        qsum[0] = 0.0  # Q_0
-        for _ in self.Q_chunks(count, qsum[1:]):
-            pass
-        self._qsum = qsum
-
     # -- access ------------------------------------------------------
 
     def q(self, j: int) -> float:
@@ -270,17 +252,17 @@ class WeightFamily:
     def Q_chunks(
         self, count: int, out: np.ndarray | None = None
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Stream the prefix sums Q_1..Q_count without caching them: yield
-        (start, chunk), where chunk holds Q_(start+1)..Q_(start+chunk.size),
-        _CHUNK sums at a time.
+        """Stream the prefix sums Q_1..Q_count: yield (start, chunk), where
+        chunk holds Q_(start+1)..Q_(start+chunk.size), _CHUNK sums at a
+        time.
 
         They are written into ``out`` (of count entries) when it is given,
         and otherwise into one scratch chunk that the next step reuses, so
         a caller keeps what it needs of a chunk before asking for the next.
         The weights are written into the chunk and summed in place, the sum
         carried across chunks; numpy accumulates in order, so every sum is
-        bit for bit that of one cumsum, whatever the count, and equals the
-        cache's ``Q_array``."""
+        bit for bit that of one cumsum, whatever the count.  Every prefix
+        sum the package reads is made here."""
         self._admit(count)
         carry = 0.0
         for start, chunk in self._chunks(count, out):
@@ -291,17 +273,25 @@ class WeightFamily:
             yield start, chunk
 
     def Q(self, n: int) -> float:
-        """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0."""
-        return float(self.Q_array(n)[n])
-
-    def Q_array(self, n: int) -> np.ndarray:
-        """Q_0..Q_n as a read-only view of the cached prefix sums (no copy)."""
+        """Prefix sum Q_n = q_0 + ... + q_(n-1); Q_0 = 0: the last sum of
+        one ``Q_chunks`` stream, which holds two chunks of scratch."""
         if n < 0:
             raise ValueError(f"prefix length must be >= 0, got {n}")
-        self._ensure(n)
-        view = self._qsum[: n + 1]
-        view.flags.writeable = False
-        return view
+        chunk = np.zeros(1)  # Q_0
+        for _, chunk in self.Q_chunks(n):
+            pass
+        return float(chunk[-1])
+
+    def Q_array(self, n: int) -> np.ndarray:
+        """Q_0..Q_n as a fresh array, ``Q_chunks`` streamed into it."""
+        if n < 0:
+            raise ValueError(f"prefix length must be >= 0, got {n}")
+        self._admit(n)  # before the array; the stream admits it again
+        out = np.empty(n + 1)
+        out[0] = 0.0  # Q_0
+        for _ in self.Q_chunks(n, out[1:]):
+            pass
+        return out
 
     @property
     def label(self) -> str:
@@ -442,9 +432,10 @@ def norlund_mean_in_place(
 
     ``coefficients`` must be a writable, contiguous 1-D float64 array of
     length 2^N.  Each f^(j) with j < n is scaled by Q_(n-j)/Q_n, the
-    multipliers formed one chunk at a time, every f^(j) with j >= n is
-    zeroed, and the buffer is synthesized in place; the mean adopts it,
-    so no copy is made and the caller must not use it again.
+    multipliers formed in a fresh array of the prefix sums, every f^(j)
+    with j >= n is zeroed, and the buffer is synthesized in place; the
+    mean adopts it, so no copy is made and the caller must not use it
+    again.
     """
     size = resolution.size
     if not 1 <= n <= size:
@@ -454,13 +445,8 @@ def norlund_mean_in_place(
     Qn = float(Q[n])
     if Qn <= 0.0:
         raise DegenerateWeightsError(f"Q_{n} = {Qn} for family {w.label}")
-    head = coefficients[:n]
-    multipliers = np.empty(min(n, _CHUNK))
-    for start in range(0, n, multipliers.size):
-        chunk = head[start : start + multipliers.size]
-        scale = multipliers[: chunk.size]
-        np.divide(Q[n - start : n - start - chunk.size : -1], Qn, out=scale)
-        chunk *= scale
-    del multipliers, scale  # freed before the butterfly takes its own scratch
+    Q /= Qn
+    coefficients[:n] *= Q[n:0:-1]
+    del Q  # freed before the butterfly takes its own scratch
     coefficients[n:] = 0.0
     return synthesize_in_place(resolution, coefficients)

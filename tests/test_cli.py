@@ -204,36 +204,41 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
 
 def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     # one generation of the widest row's weights for every row (the rest
-    # are the 4-term initial head, the 5-term structure head and kappa's
-    # weights), and no prefix sums past the initial head Q_0..Q_4
+    # are the 5-term structure head and kappa's weights), and no prefix
+    # sums at all: the check reads the odd-indexed weights alone
     sizes, sums = [], []
     admit = walshlab.WeightFamily._admit
-    ensure = walshlab.WeightFamily._ensure
+    stream = walshlab.WeightFamily.Q_chunks
     monkeypatch.setattr(
         walshlab.WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
     )
     monkeypatch.setattr(
-        walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)
+        walshlab.WeightFamily,
+        "Q_chunks",
+        lambda w, count, out=None: sums.append(count) or stream(w, count, out),
     )
     code, _, err = run(capsys, "lemma2", "--family", "log", "--alphas", "1..5")
     assert code == 0, err
     assert [s for s in sizes if s > 5] == [1 << 10], sizes
-    assert max(sums) == 4, sums
+    assert sums == [], sums
 
 
 def test_diverge_grows_no_prefix_sums_past_the_head(tmp_path, monkeypatch, capsys):
-    # each row streams its own prefix sums, so the cache stays at the
-    # initial head Q_0..Q_4 (the golden files hold the rows' bytes)
+    # each row streams its own prefix sums Q_1..Q_n, n = 2^(2a+1), in one
+    # pass, and nothing else makes any (the golden files hold the rows'
+    # bytes)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("family = log\np = 0.75\nalphas = 1..5\n")
     sums = []
-    ensure = walshlab.WeightFamily._ensure
+    stream = walshlab.WeightFamily.Q_chunks
     monkeypatch.setattr(
-        walshlab.WeightFamily, "_ensure", lambda w, count: sums.append(count) or ensure(w, count)
+        walshlab.WeightFamily,
+        "Q_chunks",
+        lambda w, count, out=None: sums.append(count) or stream(w, count, out),
     )
     code, _, err = run(capsys, "diverge", "--config", str(cfg))
     assert code == 0, err
-    assert max(sums) == 4, sums
+    assert sums == [2 << (2 * a) for a in range(1, 6)], sums
 
 
 def test_lemma2_too_few_custom_weights_is_config_error(tmp_path, capsys):

@@ -349,36 +349,22 @@ def test_monitor_rows_match_literal_mean(label):
 
 @pytest.mark.parametrize("label", MONITOR_FAMILIES)
 def test_monitor_grows_the_weight_cache_once(label, monkeypatch):
-    # one cache for every row, and the rows are those of a cache grown
-    # further beforehand, bit for bit; every weight generation is admitted,
-    # and the only one is the stream that fills the cache (admitted once by
-    # _ensure before it allocates, once by the stream itself)
+    # every weight generation is admitted, and the only ones are each
+    # row's prefix sums Q_0..Q_(2^n), n = 0..N, admitted once by Q_array
+    # before it allocates and once by its stream; the family keeps
+    # nothing between runs, so a second run's rows are the first's, bit
+    # for bit
     r = Resolution(12)
     f = DyadicFunction(r, np.random.default_rng(205).standard_normal(r.size))
-    warm = parse_family(label)
-    warm.Q(4 * r.size)
-    expect = bounded_case_monitor(f, warm, 0.75)
-    cold = parse_family(label)
+    w = parse_family(label)
+    expect = bounded_case_monitor(f, w, 0.75)
     sizes = []
     admit = WeightFamily._admit
     monkeypatch.setattr(
         WeightFamily, "_admit", lambda w, count: sizes.append(count) or admit(w, count)
     )
-    assert bounded_case_monitor(f, cold, 0.75) == expect
-    assert sizes == [r.size, r.size], sizes
-
-
-def test_experiment_leaves_the_weight_cache_at_its_head():
-    # each row streams its own prefix sums, so no sums past Q_0..Q_4 are
-    # cached, and the report is that of a family whose cache was grown
-    # beforehand, bit for bit
-    for label in ("log", "cesaro:0.25", "vlog"):
-        cfg = CounterexampleConfig(p=0.75, weights=parse_family(label), alphas=(1, 3, 5))
-        warm = parse_family(label)
-        warm.Q(1 << 13)
-        expect = divergence_experiment(replace(cfg, weights=warm))
-        assert divergence_experiment(cfg) == expect, label
-        assert cfg.weights._qsum.size == 5, label
+    assert bounded_case_monitor(f, w, 0.75) == expect
+    assert sizes == [1 << n for n in range(r.bits + 1) for _ in range(2)], sizes
 
 
 def test_monitor_rejects_zero_function():

@@ -2,13 +2,11 @@
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a
 call is the extra memory it holds at once.  Sizes are in arrays of the
-grid's length; the weight cache is warmed before each measurement that
-reads it, so growing it is not counted, and is itself bounded to the one
-array of prefix sums it keeps (a custom family keeps its weights beside
-it).  The kernel check and the divergence experiment read no cached
-prefix sums and are measured cold, with the weights they generate
-counted, and so are the CLI's `diverge`, `monitor` and `mean` runs, each
-with the weight cache it grows.  The
+grid's length.  A weight family keeps nothing but its parameters (a
+custom family its weights), so every measurement counts the weights and
+prefix sums it generates: a fresh array of Q_0..Q_n, made beside one
+2^16-entry chunk of scratch, for each multiplier mean, and a chunked
+stream of them for each `diverge` row.  The
 CLI's `monitor`, `transform` and `mean` runs are measured after one run
 on a 2-bit grid, so the argument parser and numpy's random module, which
 numpy imports at first use, are not counted as grid memory.
@@ -62,12 +60,16 @@ def random_function(bits: int) -> DyadicFunction:
 
 
 def test_multiplier_mean_peak_is_at_most_2_6_arrays():
-    f = random_function(BITS)
+    # the zero-padded coefficients and the mean's own prefix sums, made
+    # beside one 2^16-entry index chunk; the sums are dropped before the
+    # butterfly takes its one-chunk scratch.  On 20 bits, so the chunk is
+    # not a whole grid: measured 2.063 arrays (3.005 on 16 bits)
+    f = random_function(20)
     spectrum = fwht_forward(f)
     w = WeightFamily.logarithmic()
-    w.Q_array(f.resolution.size)
+    array_bytes = 8 * f.resolution.size
     peak = traced_peak(lambda: norlund_mean_multiplier(spectrum, f.resolution.size, w))
-    assert peak <= 2.6 * 8 * f.resolution.size, peak / (8 * f.resolution.size)
+    assert peak <= 2 * array_bytes + (8 << 16) + (16 << 10), peak / array_bytes
 
 
 def test_transform_peaks_are_at_most_2_6_arrays():
@@ -108,8 +110,9 @@ def test_divergence_experiment_peaks_at_most_1_3_arrays_cold():
     # cold: each row streams its own prefix sums a chunk at a time, so the
     # last row holds only its own cell buffer, which weak_lp_in_place sorts
     # once the quarter-cell floor has been read, and chunk-sized scratch;
-    # no weight cache is grown, and no row lays out the widest spectrum, a
-    # zero-padded multiplier or a sorted copy of its mean; measured 1.25
+    # no array of prefix sums is made, and no row lays out the widest
+    # spectrum, a zero-padded multiplier or a sorted copy of its mean;
+    # measured 1.25
     # (the stream's scratch chunk and its index chunk are 0.25 arrays here)
     w = WeightFamily.logarithmic()
     cfg = CounterexampleConfig(p=0.75, weights=w, alphas=(1, 3, 5, 7, 9))
@@ -119,8 +122,8 @@ def test_divergence_experiment_peaks_at_most_1_3_arrays_cold():
 
 
 def test_cli_diverge_peaks_at_most_1_4_arrays_cold(tmp_path):
-    # cold: the last row's cells and chunk-sized scratch, with no weight
-    # cache beside them; no row is built beside the one before it;
+    # cold: the last row's cells and chunk-sized scratch, with no array
+    # of prefix sums beside them; no row is built beside the one before it;
     # measured 1.27
     alphas = 9
     cfg = tmp_path / "c.cfg"
@@ -144,11 +147,12 @@ def cli_peak_arrays(argv, bits: int) -> float:
 
 
 def test_cli_monitor_peaks_at_most_3_0_arrays_cold(tmp_path):
-    # cold: the weight cache, the spectrum in the input's own buffer, the
-    # half-size row N - 1 and a chunk of scratch; row N is made in the
-    # spectrum's buffer
+    # the spectrum in the input's own buffer, the half-size row N - 1 with
+    # its half-size prefix sums, and a chunk of scratch; row N is made in
+    # the spectrum's buffer beside its own sums; measured 2.25 arrays,
+    # bounded at that plus 0.2
     peak = cli_peak_arrays(["monitor", "--out", str(tmp_path / "m.csv")], 18)
-    assert peak <= 3.0, peak
+    assert peak <= 2.45, peak
 
 
 def test_quarter_cell_min_holds_one_chunk():
@@ -161,21 +165,27 @@ def test_quarter_cell_min_holds_one_chunk():
 
 
 def test_weight_cache_holds_only_the_prefix_sums():
-    # Q_0..Q_n is the one array the family keeps, and the weights are
-    # written into it a chunk at a time, so a cold build peaks at that
-    # array and a chunk of scratch
+    # Q_array(n) writes the weights into its own fresh array a chunk at a
+    # time and sums them there, so it peaks at that array and the chunk of
+    # indices, and keeps only the array; Q(n) streams the same sums
+    # through one scratch chunk beside the indices (measured 1.004 and
+    # 2.004 chunks past those arrays)
     n = 1 << 20
     array_bytes = 8 * (n + 1)
+    chunk_bytes = 8 << 16
     for label in BUILT_IN_FAMILIES:
         tracemalloc.start()
         try:
             w = parse_family(label)
-            w.Q_array(n)
+            Q = w.Q_array(n)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert array_bytes <= held < 1.5 * array_bytes, (label, held / array_bytes)
-        assert peak <= 1.1 * array_bytes, (label, peak / array_bytes)
+        assert array_bytes <= held < 1.01 * array_bytes, (label, held / array_bytes)
+        assert peak < array_bytes + 1.1 * chunk_bytes, (label, (peak - array_bytes) / chunk_bytes)
+        del Q
+        peak = traced_peak(lambda: w.Q(n))
+        assert peak < 2.1 * chunk_bytes, (label, peak / chunk_bytes)
 
 
 def test_cesaro_odd_weights_hold_their_half_and_two_chunks():
@@ -188,8 +198,9 @@ def test_cesaro_odd_weights_hold_their_half_and_two_chunks():
 
 
 def test_custom_family_holds_its_weights_as_one_array():
-    # the weights once, as float64, beside the Q cache: about 16 bytes a
-    # weight, where Python floats would cost 32 more
+    # the weights once, as float64, and no prefix sums until they are
+    # asked for: about 8 bytes a weight, where Python floats would cost
+    # 32 more; measured 1.0 arrays
     values = 1.0 / np.arange(1.0, 140_002.0)
     tracemalloc.start()
     try:
@@ -198,7 +209,7 @@ def test_custom_family_holds_its_weights_as_one_array():
     finally:
         tracemalloc.stop()
     assert w.Q(values.size) > 0.0
-    assert held < 2.5 * 8 * values.size, held / (8 * values.size)
+    assert held < 1.2 * 8 * values.size, held / (8 * values.size)
 
 
 def test_kernel_check_holds_under_one_kernel_array():
@@ -214,11 +225,11 @@ def test_kernel_check_holds_under_one_kernel_array():
 
 
 def test_structure_screen_reads_the_cache_in_place():
+    # a built-in family is screened on its 5-term head only, made by
+    # q_array: no weights or prefix sums of the whole window
     n_max = 1 << 20
     w = WeightFamily.logarithmic()
-    w.Q(n_max + 1)
     peak = traced_peak(lambda: validate_structure(w, n_max))
-    # a built-in family is screened on its 5-term head only
     assert peak < 64 << 10, peak
 
 
@@ -235,15 +246,15 @@ def test_cli_transform_streams_its_rows(tmp_path):
     # the cells become Python floats one chunk of rows at a time, and the
     # spectrum is made in the input's own buffer, so the run holds one
     # grid array and chunks, not a list of every cell (4 arrays alone);
-    # measured 1.58 arrays, bounded at that plus 0.2
+    # measured 1.36 arrays, bounded at that plus 0.2
     peak = cli_peak_arrays(["transform", "--f", "rand", "--out", str(tmp_path / "t.csv")], 18)
-    assert peak <= 1.8, peak
+    assert peak <= 1.56, peak
 
 
 def test_cli_mean_streams_its_rows(tmp_path):
     # the spectrum and then the mean are made in the input's own buffer,
-    # beside the weight cache, and the rows are streamed as transform's
-    # are; measured 2.25 arrays, bounded at that plus 0.2
+    # beside the mean's own prefix sums, and the rows are streamed as
+    # transform's are; measured 2.25 arrays, bounded at that plus 0.2
     argv = ["mean", "--f", "rand", "--family", "log", "--out", str(tmp_path / "m.csv")]
     peak = cli_peak_arrays(argv, 18)
     assert peak <= 2.45, peak
