@@ -16,12 +16,7 @@ Run:  python demos/04_divergence.py
 
 import math
 
-from walshlab import (
-    CounterexampleConfig,
-    WeightFamily,
-    divergence_experiment,
-    guaranteed_floor,
-)
+from walshlab import CounterexampleConfig, WeightFamily, divergence_experiment
 
 
 def main() -> None:
@@ -52,7 +47,7 @@ def main() -> None:
     print("\nmeasured floor vs the guaranteed one (kappa/Q) h_k (1/sqrt(a_k) - 1/(8 a_k)):")
     for row in report.rows:
         print(f"  k={row.k}: measured {row.pointwise_floor:.8f} >= "
-              f"guaranteed {guaranteed_floor(cfg, row.k):.8f}")
+              f"guaranteed {row.guaranteed_floor:.8f}")
 
     print("\nsteeper growth: Cesaro weights with alpha = 0.25 at p = 0.7")
     cfg2 = CounterexampleConfig(

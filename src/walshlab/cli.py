@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -49,13 +49,7 @@ from .counterexample import (
 from .dyadic import MAX_RESOLUTION_BITS, DyadicFunction, Resolution
 from .errors import ConfigError, PreconditionError, ResourceCapError, WalshLabError
 from .kernel_checks import block_kernel, kernel_lower_bound_check
-from .transform import (
-    WalshSpectrum,
-    analyze_in_place,
-    dirichlet_kernel,
-    fwht_inverse,
-    walsh_function,
-)
+from .transform import analyze_in_place, dirichlet_kernel, synthesize_in_place, walsh_function
 from .weights import (
     cesaro_kappa_threshold,
     kappa,
@@ -340,26 +334,33 @@ def _experiment_config(mapping: dict[str, str]) -> CounterexampleConfig:
 
 def _read_numeric_column(path: str) -> np.ndarray:
     """Plain one-number-per-line files, or CSV with the value in the last
-    column (a header row is skipped).  Covers this tool's own output."""
-    values: list[float] = []
+    column (a header row is skipped).  Covers this tool's own output.
+    The numbers stream into one float64 array, with no list beside it."""
+
+    def numbers(lines: TextIO) -> Iterator[float]:
+        started = False
+        for raw in lines:
+            line = raw.strip()
+            if not line:
+                continue
+            cell = line.split(",")[-1].strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                if started:
+                    raise ConfigError(f"{path}: bad number {cell!r}") from None
+                continue  # header row
+            started = True
+            yield value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                cell = line.split(",")[-1].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    if values:
-                        raise ConfigError(f"{path}: bad number {cell!r}") from None
-                    continue  # header row
+            values = np.fromiter(numbers(fh), dtype=np.float64)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    if not values:
+    if not values.size:
         raise ConfigError(f"{path}: no numeric data")
-    return np.asarray(values, dtype=np.float64)
+    return values
 
 
 def _cells_from_spec(spec: str, resolution: Resolution, seed: int | None) -> np.ndarray:
@@ -412,13 +413,14 @@ _Table = tuple[Sequence[str], Sequence[Sequence[Any]], dict[str, Any], int]
 
 def _cmd_transform(args: argparse.Namespace) -> _Table:
     resolution = Resolution(args.n)
+    if args.inverse and (not args.f.startswith("file:") or args.seed is not None):
+        raise ConfigError("--inverse needs --f file:PATH with coefficients, and no --seed")
+    # with --inverse the file holds coefficients, read and checked as cells are
+    buffer = _cells_from_spec(args.f, resolution, args.seed)
     if args.inverse:
-        if not args.f.startswith("file:") or args.seed is not None:
-            raise ConfigError("--inverse needs --f file:PATH with coefficients, and no --seed")
-        coeffs = _read_numeric_column(args.f.partition(":")[2])
-        g = fwht_inverse(WalshSpectrum.adopt(resolution, coeffs))
-        return *_indexed(g.values, "value"), {"n": resolution.bits, "inverse": True}, 0
-    spectrum = analyze_in_place(resolution, _cells_from_spec(args.f, resolution, args.seed))
+        values = synthesize_in_place(resolution, buffer).values
+        return *_indexed(values, "value"), {"n": resolution.bits, "inverse": True}, 0
+    spectrum = analyze_in_place(resolution, buffer)
     meta = {"n": resolution.bits, "f": args.f}
     return *_indexed(spectrum.coefficients, "coefficient"), meta, 0
 

@@ -13,7 +13,8 @@ weight families whose kernel floor constant kappa = q_1 - (3/2) q_3 is
 positive, the Nörlund mean of order 2^(2a_k+1) is pinned away from zero
 on the quarter cell, with a floor that grows faster than the Hardy-space
 size of f when p is small enough; the experiment here measures both
-sides row by row.  Each row takes its multipliers Q_(n-j)/Q_n from one
+sides row by row, and each row carries the proven floor beside the
+measured one.  Each row takes its multipliers Q_(n-j)/Q_n from one
 chunked pass of ``WeightFamily.Q_chunks``, written straight into its
 coefficients, so its last row holds only its own cells.
 """
@@ -36,7 +37,6 @@ __all__ = [
     "DivergenceRow",
     "DivergenceReport",
     "martingale_spectrum",
-    "guaranteed_floor",
     "divergence_experiment",
     "bounded_case_monitor",
     "bounded_case_monitor_in_place",
@@ -154,21 +154,6 @@ def martingale_spectrum(cfg: CounterexampleConfig, resolution: Resolution) -> Wa
     return WalshSpectrum.adopt(resolution, coeffs)
 
 
-def guaranteed_floor(cfg: CounterexampleConfig, k: int) -> float:
-    """The provable lower bound for the mean of row k on the quarter cell:
-    (kappa/Q) * 2^(2 a_k (1/p - 1)) * (1/sqrt(a_k) - 1/(8 a_k)), with
-    Q = Q_(2^(2a_k+1))."""
-    w = cfg.weights
-    return _floor(cfg, k, kappa(w), w.Q(2 << (2 * cfg.alphas[k])))
-
-
-def _floor(cfg: CounterexampleConfig, k: int, kap: float, Q: float) -> float:
-    # guaranteed_floor's formula, given kappa and the row's Q_n
-    a = cfg.alphas[k]
-    h = cfg.block_height(k)
-    return (kap / Q) * h * (1.0 / math.sqrt(a) - 1.0 / (8.0 * a))
-
-
 @dataclass(frozen=True)
 class DivergenceRow:
     """One row of the blow-up experiment (block k at its own resolution)."""
@@ -177,6 +162,7 @@ class DivergenceRow:
     resolution_used: int
     weak_lp_value: float
     pointwise_floor: float
+    guaranteed_floor: float  # proven: (kappa/Q_n) h_k (1/sqrt(a_k) - 1/(8 a_k))
     theory_bound: float
     hardy_estimate: float  # Hardy size of the newest scaled block, a_k^(-1/2)
 
@@ -264,13 +250,15 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
     norlund_mean_multiplier on that spectrum bit for bit, and the
     butterfly copies across the zero gaps between blocks.  The
     multipliers come from one stream of the row's prefix sums.  The
-    measured columns are the exact weak-L_p size of the mean, the
-    measured minimum of |t f_k| on the quarter cell, and the provable
-    floor scaled into the theory_bound column.  The floor is read first;
-    then weak_lp_in_place sorts the mean's own cell buffer, so the last
-    row holds one grid of cells and chunk-sized scratch, and no copy.
-    The theory constant and the floors need every row's Q_n, so they are
-    formed after the last row.
+    measured columns are the exact weak-L_p size of the mean and the
+    measured minimum of |t f_k| on the quarter cell.  The measured floor
+    is read first; then weak_lp_in_place sorts the mean's own cell
+    buffer, so the last row holds one grid of cells and chunk-sized
+    scratch, and no copy.  Each row also carries guaranteed_floor, the
+    proven quarter-cell bound, formed from the Q_n its own stream ended
+    on; floors_hold asks that every measured floor reach it.  The theory
+    constant needs every row's Q_n, so the rows are formed after the
+    last one is measured.
     hardy_estimate is the Hardy size of the newest scaled block
     a_k^(-1/2) * atom_k, which is exactly a_k^(-1/2) because its maximal
     function is a single plateau;
@@ -299,22 +287,20 @@ def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
 
     c_theory = _theory_constant(cfg, kap, [Qn for _, _, Qn in measured])
     rows = []
-    floors_hold = True
     for k, (weak_value, floor_measured, Qn) in enumerate(measured):
         a = cfg.alphas[k]
+        guaranteed = (kap / Qn) * cfg.block_height(k) * (1.0 / math.sqrt(a) - 1.0 / (8.0 * a))
         theory = (
             c_theory
             * 2.0 ** (2.0 * a * (1.0 / cfg.p - 1.0 - cfg.alpha_exp))
             / a ** (cfg.beta_exp + 1.0)
         )
-        rows.append(
-            DivergenceRow(k, 2 * a + 1, weak_value, floor_measured, theory, cfg.block_weight(k))
-        )
-        if floor_measured < _floor(cfg, k, kap, Qn) - _FLOOR_TOL:
-            floors_hold = False
+        rows.append(DivergenceRow(k, 2 * a + 1, weak_value, floor_measured, guaranteed,
+                                  theory, cfg.block_weight(k)))
 
     ratios = [r.ratio for r in rows]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
+    floors_hold = all(r.pointwise_floor >= r.guaranteed_floor - _FLOOR_TOL for r in rows)
     return DivergenceReport(tuple(rows), kap, c_theory, increasing, floors_hold)
 
 
@@ -342,8 +328,9 @@ def bounded_case_monitor_in_place(
 
     1. the Hardy size, which reads the cells;
     2. the forward transform, in place in the cell buffer;
-    3. rows n < N, each in a fresh buffer of 2^max(n,1) coefficients;
-    4. row N, in place in the spectrum's own buffer.
+    3. rows n = 0..N in one loop: row n < N in a fresh buffer of
+       2^max(n,1) coefficients, and row N, last, in place in the
+       spectrum's own buffer.
 
     Each row's mean streams its own 2^n + 1 prefix sums into a fresh
     array and drops them before its synthesis.  At row N - 1 that is the
@@ -366,15 +353,14 @@ def bounded_case_monitor_in_place(
     hardy = hardy_norm_estimate(DyadicFunction.adopt(resolution, cells.view()), p)
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
+    N = resolution.bits
     coeffs = analyze_in_place(resolution, cells.view()).coefficients
     out = []
-    for n in range(resolution.bits):
+    for n in range(N + 1):
         row = Resolution(max(n, 1))
-        # no name holds a row's mean while the next row's is built
-        mean = norlund_mean_in_place(row, coeffs[: row.size].copy(), 1 << n, w)
+        # row N, the last, overwrites the spectrum in its own buffer
+        buffer = cells if n == N else coeffs[: row.size].copy()
+        mean = norlund_mean_in_place(row, buffer, 1 << n, w)
         out.append((n, lp_quasinorm(mean, p) / hardy))
-        del mean
-    del coeffs  # row N overwrites the spectrum in its own buffer
-    mean = norlund_mean_in_place(resolution, cells, resolution.size, w)
-    out.append((resolution.bits, lp_quasinorm(mean, p) / hardy))
+        del mean, buffer  # no name holds a row's mean while the next row's is built
     return tuple(out)

@@ -17,7 +17,9 @@ sorted products, where the package skips the chunks whose bound cannot
 raise the maximum.  emit_text is the CLI's table encoder written cell by
 cell.  weights_whole generates a family's weights as one array, where
 the package writes them a chunk at a time into the array that keeps
-them.
+them; norlund_mean_naive, kernel_sum and quarter_cell_coset_from_Q read
+their weights and prefix sums from it and prefix_sums_whole, not from
+the package's stream they are compared against.
 """
 
 import csv
@@ -164,12 +166,13 @@ def norlund_mean_naive(f: DyadicFunction, n: int, w) -> DyadicFunction:
     sums built incrementally."""
     size = f.resolution.size
     coeff = fwht_forward(f).coefficients
+    q = weights_whole(w, n)
     running = np.full(size, coeff[0])  # S_1 f
-    acc = w.q(n - 1) * running
+    acc = q[n - 1] * running
     for k in range(2, n + 1):
         running = running + coeff[k - 1] * sign_table(k - 1, size)
-        acc = acc + w.q(n - k) * running
-    return DyadicFunction(f.resolution, acc / w.Q(n))
+        acc = acc + q[n - k] * running
+    return DyadicFunction(f.resolution, acc / prefix_sums_whole(w, n)[n])
 
 
 def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> DyadicFunction:
@@ -182,7 +185,7 @@ def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> Dyadi
     size = resolution.size
     if not 1 <= a <= b <= size:
         raise DegreeError(f"kernel window [{a}, {b}] out of range (1..{size})")
-    Q = w.Q_array(b - a + 1)
+    Q = prefix_sums_whole(w, b - a + 1)
     coeffs = np.zeros(size)
     coeffs[:a] = Q[b - a + 1]
     if b > a:
@@ -199,7 +202,7 @@ def quarter_cell_coset_from_Q(w: WeightFamily, a: int) -> np.ndarray:
     window takes on lane 3 of its quarter cell.
     """
     A = 1 << (2 * a)
-    lanes = w.Q_array(A)[A:0:-1].reshape(-1, 4)
+    lanes = prefix_sums_whole(w, A)[A:0:-1].reshape(-1, 4)
     d = np.subtract(lanes[:, 0], lanes[:, 1])
     d -= np.subtract(lanes[:, 2], lanes[:, 3])
     if a == 1:

@@ -23,7 +23,6 @@ from walshlab import (
     bounded_case_monitor,
     divergence_experiment,
     fwht_forward,
-    guaranteed_floor,
     hardy_norm_estimate,
     kappa,
     lp_quasinorm,
@@ -263,14 +262,14 @@ def test_measured_floor_beats_guaranteed_floor():
     cfg = log_cfg()
     rep = divergence_experiment(cfg)
     for row in rep.rows:
-        assert row.pointwise_floor >= guaranteed_floor(cfg, row.k) - 1e-12
+        assert row.pointwise_floor >= row.guaranteed_floor - 1e-12
     assert rep.floors_hold
 
 
 def test_floor_below_the_guarantee_fails_only_the_floor_verdict(monkeypatch):
     cfg = log_cfg()
     honest = divergence_experiment(cfg)
-    monkeypatch.setattr(walshlab.counterexample, "_floor", lambda cfg, k, kap, Q: math.inf)
+    monkeypatch.setattr(walshlab.counterexample, "quarter_cell_min", lambda f: 0.0)
     rep = divergence_experiment(cfg)
     assert rep.floors_hold is False
     assert rep.ok is False
@@ -291,7 +290,7 @@ def test_guaranteed_floor_closed_form():
     Q = LOG.Q(1 << (2 * a + 1))
     h = 2.0 ** (2 * a * (1 / 0.75 - 1))
     expect = (kap / Q) * h * (1 / math.sqrt(a) - 1 / (8 * a))
-    assert guaranteed_floor(cfg, 2) == pytest.approx(expect, rel=1e-14)
+    assert divergence_experiment(cfg).rows[2].guaranteed_floor == pytest.approx(expect, rel=1e-14)
 
 
 # --- bounded regime ---------------------------------------------------------
