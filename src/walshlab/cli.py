@@ -418,9 +418,9 @@ def _cmd_transform(args: argparse.Namespace) -> _Table:
     # with --inverse the file holds coefficients, read and checked as cells are
     buffer = _cells_from_spec(args.f, resolution, args.seed)
     if args.inverse:
-        values = synthesize_in_place(resolution, buffer).values
+        values = synthesize_in_place(buffer).values
         return *_indexed(values, "value"), {"n": resolution.bits, "inverse": True}, 0
-    spectrum = analyze_in_place(resolution, buffer)
+    spectrum = analyze_in_place(buffer)
     meta = {"n": resolution.bits, "f": args.f}
     return *_indexed(spectrum.coefficients, "coefficient"), meta, 0
 
@@ -446,8 +446,8 @@ def _cmd_mean(args: argparse.Namespace) -> _Table:
     order = args.order if args.order is not None else resolution.size
     cells = _cells_from_spec(args.f, resolution, args.seed)
     # the spectrum is written into the cell buffer, and the mean into it again
-    analyze_in_place(resolution, cells.view())
-    mean = norlund_mean_in_place(resolution, cells, order, w)
+    analyze_in_place(cells.view())
+    mean = norlund_mean_in_place(cells, order, w)
     meta = {"n": resolution.bits, "family": w.label, "order": order, "f": args.f}
     return *_indexed(mean.values, "value"), meta, 0
 
@@ -531,7 +531,7 @@ def _cmd_monitor(args: argparse.Namespace) -> _Table:
     resolution = Resolution(args.n)
     w = parse_family(args.family)
     cells = _cells_from_spec(args.f, resolution, args.seed)
-    pairs = bounded_case_monitor_in_place(resolution, cells, w, args.p)
+    pairs = bounded_case_monitor_in_place(cells, w, args.p)
     worst = max(r for _, r in pairs)
     _note(f"monitor: {w.label}, p = {args.p:g}, max ratio = {worst:.9g}")
     meta = {"family": w.label, "p": args.p, "n": resolution.bits, "f": args.f}

@@ -216,9 +216,9 @@ def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.nda
     is made.  Each block is then divided by Q_n and scaled by its height
     and weight, the same two roundings as norlund_mean_in_place's.
 
-    Returns the mean, the writable buffer of its cells and Q_n; the mean
-    adopts a read-only view of the buffer, so the buffer may be given up
-    once the mean is dropped."""
+    Returns the mean, the writable buffer of its cells, whose 2^(2a_k+1)
+    entries are the row's grid, and Q_n; the mean adopts a read-only view
+    of the buffer, so the buffer may be given up once the mean is dropped."""
     n = 2 << (2 * cfg.alphas[k])
     blocks = [1 << (2 * a) for a in cfg.alphas[: k + 1]]
     coeffs = np.zeros(n)
@@ -235,7 +235,7 @@ def _row_mean(cfg: CounterexampleConfig, k: int) -> tuple[DyadicFunction, np.nda
         block = coeffs[size : 2 * size]
         block /= Qn
         block *= cfg.block_height(e) * cfg.block_weight(e)
-    return synthesize_in_place(Resolution(2 * cfg.alphas[k] + 1), coeffs.view()), coeffs, Qn
+    return synthesize_in_place(coeffs.view()), coeffs, Qn
 
 
 def divergence_experiment(cfg: CounterexampleConfig) -> DivergenceReport:
@@ -313,17 +313,18 @@ def bounded_case_monitor(
     For families with summable structure (Fejér above all) these stay
     bounded; contrast with the divergence experiment's growing column.
     """
-    return bounded_case_monitor_in_place(f.resolution, f.values.copy(), w, p)
+    return bounded_case_monitor_in_place(f.values.copy(), w, p)
 
 
 def bounded_case_monitor_in_place(
-    resolution: Resolution, cells: np.ndarray, w: WeightFamily, p: float
+    cells: np.ndarray, w: WeightFamily, p: float
 ) -> tuple[tuple[int, float], ...]:
     """The monitor's ratios for the cell values in a buffer the caller
     gives up.
 
-    ``cells`` must be a writable, contiguous 1-D float64 array of length
-    2^N with finite values.  The work runs in this order, so every
+    ``cells`` must be a writable, contiguous 1-D float64 array of 2^N
+    finite cells, N >= 1, and the grid is read from its length
+    (``Resolution.of_buffer``).  The work runs in this order, so every
     grid-sized buffer it holds is one it keeps:
 
     1. the Hardy size, which reads the cells;
@@ -342,25 +343,24 @@ def bounded_case_monitor_in_place(
     depend only on the first n coordinates: the mean is measurable with
     respect to the rank-n cells, so on the 2^N grid it is one 2^n-cell
     block repeated 2^(N-n) times.  Row n therefore synthesizes the mean
-    from the first 2^max(n,1) coefficients at resolution max(n, 1).  The
-    cell values are bit-identical to the full-grid synthesis, which
-    only repeats them over the zero coefficients above 2^n
-    (x + 0 = x - 0 = x), and the L_p quasi-norm, a mean over cells, is
-    unchanged by the repetition.
+    from a copy of the first 2^max(n,1) coefficients, whose length sets
+    its resolution, max(n, 1) bits.  The cell values are bit-identical to
+    the full-grid synthesis, which only repeats them over the zero
+    coefficients above 2^n (x + 0 = x - 0 = x), and the L_p quasi-norm, a
+    mean over cells, is unchanged by the repetition.
     """
-    resolution.check_writable(cells)
+    resolution = Resolution.of_buffer(cells)
     # the view is marked read-only; cells stays writable for the transform
     hardy = hardy_norm_estimate(DyadicFunction.adopt(resolution, cells.view()), p)
     if hardy == 0.0:
         raise PreconditionError("monitor needs a nonzero function")
     N = resolution.bits
-    coeffs = analyze_in_place(resolution, cells.view()).coefficients
+    coeffs = analyze_in_place(cells.view()).coefficients
     out = []
     for n in range(N + 1):
-        row = Resolution(max(n, 1))
         # row N, the last, overwrites the spectrum in its own buffer
-        buffer = cells if n == N else coeffs[: row.size].copy()
-        mean = norlund_mean_in_place(row, buffer, 1 << n, w)
+        buffer = cells if n == N else coeffs[: 1 << max(n, 1)].copy()
+        mean = norlund_mean_in_place(buffer, 1 << n, w)
         out.append((n, lp_quasinorm(mean, p) / hardy))
         del mean, buffer  # no name holds a row's mean while the next row's is built
     return tuple(out)

@@ -55,20 +55,26 @@ class Resolution:
     def cell_measure(self) -> float:
         return 2.0**-self.bits
 
-    def check_writable(self, buffer: np.ndarray) -> None:
-        """Refuse a buffer that cannot be worked on in place as this grid:
-        anything but a writable, contiguous 1-D float64 array of 2^N
-        entries.  Its values are not read."""
+    @classmethod
+    def of_buffer(cls, buffer: np.ndarray) -> "Resolution":
+        """The grid a buffer can be worked on in place as.  Anything but a
+        writable, contiguous 1-D float64 array of 2^N entries, N >= 1, is
+        refused with ValueError, and N past the cap with ResourceCapError.
+        Its values are not read."""
         flags = buffer.flags
+        size = buffer.size
         if (
             buffer.dtype != np.float64
-            or buffer.shape != (self.size,)
+            or buffer.ndim != 1
+            or size < 2
+            or size & (size - 1)
             or not (flags.c_contiguous and flags.writeable)
         ):
             raise ValueError(
-                f"expected a writable contiguous array of {self.size} float64 values, "
+                f"expected a writable contiguous array of 2^N float64 values, N >= 1, "
                 f"got {buffer.dtype} of shape {buffer.shape}"
             )
+        return cls(size.bit_length() - 1)
 
 
 class DyadicFunction:

@@ -88,7 +88,7 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
     coeffs[:A] = Q[A + 1]
     coeffs[A : 2 * A] = Q[A:0:-1]
     del Q  # freed before the butterfly takes its own scratch
-    return synthesize_in_place(resolution, coeffs)
+    return synthesize_in_place(coeffs)
 
 
 def _quarter_cell_coset(v: np.ndarray, a: int) -> np.ndarray:
@@ -99,7 +99,7 @@ def _quarter_cell_coset(v: np.ndarray, a: int) -> np.ndarray:
     # caller may take |F_A| in it
     d = v[0::2] - v[1::2]
     if a > 1:  # on 0 bits, one coefficient d_0 is its own synthesis
-        synthesize_in_place(Resolution(2 * a - 2), d.view())
+        synthesize_in_place(d.view())
     return d
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dyadic import DyadicFunction
+from .dyadic import DyadicFunction, Resolution
 from .errors import PreconditionError
 
 __all__ = [
@@ -78,9 +78,11 @@ def weak_lp_in_place(values: np.ndarray, p: float) -> float:
     """The weak-L_p size of the cell values in a buffer the caller gives up.
 
     ``values`` must be a writable, contiguous 1-D float64 array of 2^N
-    cells, N >= 1.  It is overwritten with the sorted magnitudes
-    m_0 <= ... <= m_(M-1) of its cells, so no copy is made; the caller
-    must not use it again, and no ``DyadicFunction`` may still view it.
+    cells, N >= 1, as ``Resolution.of_buffer`` checks, so a buffer of
+    more than 2^24 cells is refused with ResourceCapError.  It is
+    overwritten with the sorted magnitudes m_0 <= ... <= m_(M-1) of its
+    cells, so no copy is made; the caller must not use it again, and no
+    ``DyadicFunction`` may still view it.
 
     After the sort the products m_i * t_i, with tail factor
     t_i = ((M - i)/M)^(1/p), are evaluated a chunk at a time, and only in
@@ -98,19 +100,7 @@ def weak_lp_in_place(values: np.ndarray, p: float) -> float:
     chunk.
     """
     p = _check_p(p)
-    flags = values.flags
-    total = values.size
-    if (
-        values.dtype != np.float64
-        or values.ndim != 1
-        or total < 2
-        or total & (total - 1)
-        or not (flags.c_contiguous and flags.writeable)
-    ):
-        raise ValueError(
-            f"expected a writable contiguous array of 2^N float64 values, N >= 1, "
-            f"got {values.dtype} of shape {values.shape}"
-        )
+    total = Resolution.of_buffer(values).size
     magnitudes = np.abs(values, out=values)
     magnitudes.sort()
     # NaN sorts last, after +inf, so the last magnitude is finite only if

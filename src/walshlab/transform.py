@@ -80,7 +80,7 @@ def walsh_function(n: int, resolution: Resolution) -> DyadicFunction:
         raise DegreeError(f"character index {n} out of range for {resolution.bits} bits")
     coeffs = np.zeros(resolution.size)
     coeffs[n] = 1.0
-    return synthesize_in_place(resolution, coeffs)
+    return synthesize_in_place(coeffs)
 
 
 # The butterfly runs in chunks of _BLOCK cells or fewer, each in cache.
@@ -156,40 +156,43 @@ def _pass(top: np.ndarray, bottom: np.ndarray, diff: np.ndarray) -> None:
 def fwht_forward(f: DyadicFunction) -> WalshSpectrum:
     """Walsh coefficients of f: f^(k) = integral of f * w_k.
     ``analyze_in_place`` run on a copy of ``f.values``."""
-    return analyze_in_place(f.resolution, f.values.copy())
+    return analyze_in_place(f.values.copy())
 
 
 def fwht_inverse(spectrum: WalshSpectrum) -> DyadicFunction:
     """Synthesize sum_k f^(k) w_k back into a step function."""
-    return synthesize_in_place(spectrum.resolution, spectrum.coefficients.copy())
+    return synthesize_in_place(spectrum.coefficients.copy())
 
 
-def analyze_in_place(resolution: Resolution, values: np.ndarray) -> WalshSpectrum:
+def analyze_in_place(values: np.ndarray) -> WalshSpectrum:
     """The Walsh coefficients of the cell values in a buffer the caller
     gives up: the twin of ``synthesize_in_place``.
 
-    ``values`` must be a writable, contiguous 1-D float64 array of length
-    2^N.  The butterfly overwrites it with the coefficients and the
-    spectrum adopts it, so no copy is made; the caller must not use it
-    again, except through a view it kept writable (a spectrum adopting
-    ``buffer.view()`` marks only the view read-only).  Values that are
-    not finite make coefficients that are not, which the spectrum
-    refuses.
+    ``values`` must be a writable, contiguous 1-D float64 array of 2^N
+    cells, N >= 1, and the grid is read from its length
+    (``Resolution.of_buffer``).  The butterfly overwrites it with the
+    coefficients and the spectrum adopts it, so no copy is made; the
+    caller must not use it again, except through a view it kept writable
+    (a spectrum adopting ``buffer.view()`` marks only the view
+    read-only).  Values that are not finite make coefficients that are
+    not, which the spectrum refuses.
     """
-    resolution.check_writable(values)
+    resolution = Resolution.of_buffer(values)
     _butterfly(values)
     values /= resolution.size
     return WalshSpectrum.adopt(resolution, values)
 
 
-def synthesize_in_place(resolution: Resolution, coefficients: np.ndarray) -> DyadicFunction:
+def synthesize_in_place(coefficients: np.ndarray) -> DyadicFunction:
     """Synthesize sum_k c_k w_k from a coefficient buffer the caller gives up.
 
     ``coefficients`` must be a writable, contiguous 1-D float64 array of
-    length 2^N.  The butterfly overwrites it with the cell values and the
-    result adopts it, so no copy is made; the caller must not use it again.
+    2^N entries, N >= 1, and the grid is read from its length
+    (``Resolution.of_buffer``).  The butterfly overwrites it with the cell
+    values and the result adopts it, so no copy is made; the caller must
+    not use it again.
     """
-    resolution.check_writable(coefficients)
+    resolution = Resolution.of_buffer(coefficients)
     _butterfly(coefficients)
     return DyadicFunction.adopt(resolution, coefficients)
 
@@ -208,4 +211,4 @@ def dirichlet_kernel(n: int, resolution: Resolution) -> DyadicFunction:
         raise DegreeError(f"Dirichlet order {n} out of range (1..{size})")
     coeffs = np.zeros(size)
     coeffs[:n] = 1.0
-    return synthesize_in_place(resolution, coeffs)
+    return synthesize_in_place(coeffs)

@@ -422,25 +422,24 @@ def norlund_mean_multiplier(
     the first n coefficients, zero-padded.  Production path."""
     coeffs = np.zeros(spectrum.resolution.size)
     coeffs[:n] = spectrum.coefficients[:n]
-    return norlund_mean_in_place(spectrum.resolution, coeffs, n, w)
+    return norlund_mean_in_place(coeffs, n, w)
 
 
-def norlund_mean_in_place(
-    resolution: Resolution, coefficients: np.ndarray, n: int, w: WeightFamily
-) -> DyadicFunction:
+def norlund_mean_in_place(coefficients: np.ndarray, n: int, w: WeightFamily) -> DyadicFunction:
     """t_n f from a buffer of f's Walsh coefficients the caller gives up.
 
     ``coefficients`` must be a writable, contiguous 1-D float64 array of
-    length 2^N.  Each f^(j) with j < n is scaled by Q_(n-j)/Q_n, the
+    2^N entries, N >= 1, and the grid is read from its length
+    (``Resolution.of_buffer``); the order n is checked against it after
+    the buffer.  Each f^(j) with j < n is scaled by Q_(n-j)/Q_n, the
     multipliers formed in a fresh array of the prefix sums, every f^(j)
     with j >= n is zeroed, and the buffer is synthesized in place; the
     mean adopts it, so no copy is made and the caller must not use it
     again.
     """
-    size = resolution.size
+    size = Resolution.of_buffer(coefficients).size
     if not 1 <= n <= size:
         raise DegreeError(f"mean order {n} out of range (1..{size})")
-    resolution.check_writable(coefficients)
     Q = w.Q_array(n)
     Qn = float(Q[n])
     if Qn <= 0.0:
@@ -449,4 +448,4 @@ def norlund_mean_in_place(
     coefficients[:n] *= Q[n:0:-1]
     del Q  # freed before the butterfly takes its own scratch
     coefficients[n:] = 0.0
-    return synthesize_in_place(resolution, coefficients)
+    return synthesize_in_place(coefficients)

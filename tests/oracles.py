@@ -190,7 +190,7 @@ def kernel_sum(w: WeightFamily, a: int, b: int, resolution: Resolution) -> Dyadi
     coeffs[:a] = Q[b - a + 1]
     if b > a:
         coeffs[a:b] = Q[1 : b - a + 1][::-1]
-    return synthesize_in_place(resolution, coeffs)
+    return synthesize_in_place(coeffs)
 
 
 def quarter_cell_coset_from_Q(w: WeightFamily, a: int) -> np.ndarray:
@@ -207,7 +207,7 @@ def quarter_cell_coset_from_Q(w: WeightFamily, a: int) -> np.ndarray:
     d -= np.subtract(lanes[:, 2], lanes[:, 3])
     if a == 1:
         return d  # one coefficient: the synthesis on 0 bits is d_0 itself
-    return synthesize_in_place(Resolution(2 * a - 2), d).values
+    return synthesize_in_place(d).values
 
 
 def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> DyadicFunction:

@@ -1,8 +1,10 @@
 """The buffer-consuming twins against their copying wrappers.
 
 Each wrapper is its twin run on a copy, so the two must agree bit for
-bit.  Each twin refuses a buffer it cannot work on in place before it
-writes to it, and one holding a NaN, whose result would not be finite.
+bit.  Each twin reads its grid from its buffer, through the one check
+``Resolution.of_buffer``: it refuses a buffer it cannot work on in place
+before it writes to it, and one holding a NaN, whose result would not be
+finite.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from walshlab import (
     norlund_mean_in_place,
     norlund_mean_multiplier,
     parse_family,
+    synthesize_in_place,
+    weak_lp_in_place,
 )
 
 FAMILIES = ("fejer", "log", "cesaro:0.25")
@@ -32,7 +36,7 @@ def random_function(bits: int, seed: int) -> DyadicFunction:
 def test_analysis_in_place_matches_fwht_forward(bits):
     f = random_function(bits, 300 + bits)
     buffer = f.values.copy()
-    spectrum = analyze_in_place(f.resolution, buffer)
+    spectrum = analyze_in_place(buffer)
     assert spectrum.coefficients is buffer
     assert not buffer.flags.writeable
     assert buffer.tobytes() == fwht_forward(f).coefficients.tobytes()
@@ -48,7 +52,7 @@ def test_mean_in_place_matches_the_multiplier_mean(label, bits):
     for n in sorted({1, 2, size // 2 + 1, size - 3, size} & set(range(1, size + 1))):
         buffer = spectrum.coefficients.copy()
         buffer[n:] = 7.0  # zeroed by the twin, as the wrapper's zero padding is
-        mean = norlund_mean_in_place(f.resolution, buffer, n, w)
+        mean = norlund_mean_in_place(buffer, n, w)
         assert mean.values is buffer
         expect = norlund_mean_multiplier(spectrum, n, w).values
         assert buffer.tobytes() == expect.tobytes(), (label, bits, n)
@@ -59,7 +63,7 @@ def test_mean_in_place_matches_the_multiplier_mean(label, bits):
 def test_monitor_in_place_matches_the_monitor(label, bits):
     f = random_function(bits, 500 + bits)
     expect = bounded_case_monitor(f, parse_family(label), 0.75)
-    got = bounded_case_monitor_in_place(f.resolution, f.values.copy(), parse_family(label), 0.75)
+    got = bounded_case_monitor_in_place(f.values.copy(), parse_family(label), 0.75)
     assert got == expect
     assert [n for n, _ in got] == list(range(bits + 1))
 
@@ -81,16 +85,18 @@ BAD_BUFFERS = {
     "strided": (lambda: np.ones(32)[::2], "expected a writable contiguous array"),
     "int64": (lambda: np.ones(16, dtype=np.int64), "expected a writable contiguous array"),
     "length-12": (lambda: np.ones(12), "expected a writable contiguous array"),
+    "length-1": (lambda: np.ones(1), "expected a writable contiguous array"),
     "2-D": (lambda: np.ones((2, 8)), "expected a writable contiguous array"),
     "nan": (with_nan, "values must be finite"),
 }
 
 TWINS = {
-    "analyze": lambda r, buffer: analyze_in_place(r, buffer),
-    "mean": lambda r, buffer: norlund_mean_in_place(r, buffer, r.size, parse_family("log")),
-    "monitor": lambda r, buffer: bounded_case_monitor_in_place(
-        r, buffer, parse_family("log"), 0.75
-    ),
+    "analyze": analyze_in_place,
+    "synthesize": synthesize_in_place,
+    # order buffer.size, so a valid buffer holding a NaN reaches the synthesis
+    "mean": lambda buffer: norlund_mean_in_place(buffer, buffer.size, parse_family("log")),
+    "monitor": lambda buffer: bounded_case_monitor_in_place(buffer, parse_family("log"), 0.75),
+    "weak_lp": lambda buffer: weak_lp_in_place(buffer, 0.75),
 }
 
 
@@ -101,7 +107,7 @@ def test_twins_refuse_a_buffer_they_cannot_use(twin, bad):
     buffer = make()
     before = buffer.copy()
     with pytest.raises(ValueError, match=message):
-        TWINS[twin](Resolution(4), buffer)
+        TWINS[twin](buffer)
     if bad != "nan":
         # refused before anything is written
         assert np.array_equal(buffer, before)

@@ -150,7 +150,7 @@ def test_odd_weight_coset_matches_the_q_array_route_bit_for_bit(label):
         A = 1 << (2 * a)
         q = w.q_array(A)
         d = q[A - 1 :: -4] - q[A - 3 :: -4]
-        coset = d if a == 1 else synthesize_in_place(Resolution(2 * a - 2), d).values
+        coset = d if a == 1 else synthesize_in_place(d).values
         assert w.q_odd(A).tobytes() == odd[(W - A) // 2 :].tobytes(), a
         assert _quarter_cell_coset(w.q_odd(A), a).tobytes() == coset.tobytes(), a
         assert rep.min_abs_kernel == float(np.abs(coset).min()), a

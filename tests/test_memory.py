@@ -137,13 +137,17 @@ def test_cli_diverge_peaks_at_most_1_4_arrays_cold(tmp_path):
 def cli_peak_arrays(argv, bits: int) -> float:
     """The traced peak of a CLI command on a grid of ``bits`` bits, in
     arrays of that grid, after one run on 2 bits has built the parser and
-    numpy's lazily imported random module."""
+    numpy's lazily imported random module.  Both runs must exit 0, so a
+    run that stops early cannot pass a bound on its small peak."""
 
     def run(n: int) -> int:
         return cli.main(argv[:1] + ["--n", str(n)] + argv[1:])
 
     assert run(2) == 0
-    return traced_peak(lambda: run(bits)) / (8 << bits)
+    status = []
+    peak = traced_peak(lambda: status.append(run(bits)))
+    assert status == [0], status
+    return peak / (8 << bits)
 
 
 def test_cli_monitor_peaks_at_most_2_45_arrays_cold(tmp_path):

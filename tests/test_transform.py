@@ -224,26 +224,28 @@ def test_synthesis_consumes_its_buffer():
     coeffs = rng.standard_normal(r.size)
     expect = fwht_inverse(WalshSpectrum(r, coeffs)).values
     buffer = coeffs.copy()
-    g = synthesize_in_place(r, buffer)
+    g = synthesize_in_place(buffer)
     assert g.values is buffer
+    assert g.resolution == r
     assert np.array_equal(g.values, expect)
     assert not buffer.flags.writeable
+    # the buffer's length is its grid: 8 entries are 3 bits, 12 are none
+    assert synthesize_in_place(np.zeros(8)).resolution == Resolution(3)
     with pytest.raises(ValueError):
-        synthesize_in_place(r, np.zeros(8))
+        synthesize_in_place(np.zeros(12))
     with pytest.raises(ValueError):
-        synthesize_in_place(r, np.zeros(16, dtype=np.int64))
+        synthesize_in_place(np.zeros(16, dtype=np.int64))
     # a strided view or a read-only buffer cannot be transformed in place
     with pytest.raises(ValueError):
-        synthesize_in_place(r, np.zeros(32)[::2])
+        synthesize_in_place(np.zeros(32)[::2])
     with pytest.raises(ValueError):
-        synthesize_in_place(r, buffer)
+        synthesize_in_place(buffer)
 
 
 def test_synthesis_refuses_an_overflowing_result():
     # finite coefficients whose butterfly sums overflow to inf
-    r = Resolution(2)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-        synthesize_in_place(r, np.full(4, 1e308))
+        synthesize_in_place(np.full(4, 1e308))
 
 
 def test_transforms_leave_their_input_untouched():
