@@ -24,12 +24,11 @@ series on 2a - 2 bits with coefficients
 
     d_m = (e_(4m) - e_(4m+1)) - (e_(4m+2) - e_(4m+3)) = q_(A-4m-1) - q_(A-4m-3),
 
-since Q_n - Q_(n-1) = q_(n-1).  The check takes d from the odd-indexed
-weights q_(A-1), q_(A-3), ..., q_1 in one subtraction, never makes the
-even-indexed ones, and never forms a prefix sum.  The
-differences of Q would lose about eps Q_A per coefficient, and Q_A
-grows with A.  Against an np.longdouble recomputation from the weights
-at a = 10, the coset's largest error is 2.6e-16 (log), 1.3e-16
+since Q_n - Q_(n-1) = q_(n-1).  The check takes d straight from the
+weights (``WeightFamily.coset_differences``), never from a prefix sum:
+differences of Q would lose about eps Q_A per coefficient, and Q_A grows
+with A.  Against an np.longdouble recomputation from the weights at
+a = 10, the coset's largest error is 2.6e-16 (log), 1.3e-16
 (cesaro:0.25), 3.0e-16 (ualpha:0.3), 1.8e-14 (vlog) and 1.3e-12
 (cesaro:0.8, whose running-product weights carry it) from q, against
 1.7e-12, 4.8e-12, 2.7e-11, 7.9e-9 and 7.4e-9 from Q.  So the check's
@@ -91,13 +90,12 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
     return synthesize_in_place(coeffs)
 
 
-def _quarter_cell_coset(v: np.ndarray, a: int) -> np.ndarray:
+def _quarter_cell_coset(d: np.ndarray, a: int) -> np.ndarray:
     # F_A on the cells x = 3 mod 4 of its 2a-bit grid, in the order of
-    # x >> 2, from v = q_(A-1), q_(A-3), ..., q_1: d_m = v[2m] - v[2m+1]
-    # = q_(A-4m-1) - q_(A-4m-3), synthesized on 2a - 2 bits through a
-    # view, which the result marks read-only, so d stays writable and the
-    # caller may take |F_A| in it
-    d = v[0::2] - v[1::2]
+    # x >> 2, from its coefficients d_m = q_(A-4m-1) - q_(A-4m-3),
+    # synthesized on 2a - 2 bits in d's own buffer through a view, which
+    # the result marks read-only, so d stays writable and the caller may
+    # take |F_A| in it
     if a > 1:  # on 0 bits, one coefficient d_0 is its own synthesis
         synthesize_in_place(d.view())
     return d
@@ -115,9 +113,9 @@ def kernel_lower_bound_check(
     resolution cap; the weights q_0..q_(4^a - 1) must fit under the
     weight horizon.  The minimum is read from the 2^(2a-2) values of the
     Nörlund kernel F_A on its quarter-cell coset, whose coefficients are
-    differences of the odd-indexed weights (see the module docstring).
-    Those are generated once, highest index first, for the widest window,
-    and each row reads a suffix of them.
+    differences of the odd-indexed weights (see the module docstring),
+    made once for the widest window: each narrower row synthesizes a copy
+    of its suffix of them, and the widest runs last, in their own buffer.
 
     Families failing the structure screen over the widest window's
     weights are rejected (for built-in families the screen reads only
@@ -133,15 +131,14 @@ def kernel_lower_bound_check(
         raise PreconditionError(
             f"weight family {w.label} fails the structure screen: {structure}"
         )
-    # q_(W-1), q_(W-3), ..., q_1 for the widest W; q_(A-1), ... is its suffix
-    v = w.q_odd(widest)
+    d = w.coset_differences(widest)
     kap = kappa(w)
-    reports = []
-    for a in block_exps:
-        suffix = v[(widest - (1 << (2 * a))) // 2 :]
-        coset = _quarter_cell_coset(suffix, a)
-        min_abs = float(np.abs(coset, out=coset).min())
-        reports.append(
-            KernelBoundReport(w.label, a, 2 * a + 1, min_abs, kap, min_abs >= kap - _BOUND_TOL)
-        )
-    return reports
+    minima = {}
+    for a in sorted(set(block_exps)):  # the widest last, in d itself
+        suffix = d[(widest - (1 << (2 * a))) // 4 :]
+        coset = _quarter_cell_coset(suffix.copy() if suffix.size < d.size else suffix, a)
+        minima[a] = float(np.abs(coset, out=coset).min())
+    return [
+        KernelBoundReport(w.label, a, 2 * a + 1, minima[a], kap, minima[a] >= kap - _BOUND_TOL)
+        for a in block_exps
+    ]

@@ -223,31 +223,34 @@ class WeightFamily:
             pass
         return out
 
-    def q_odd(self, count: int) -> np.ndarray:
-        """q_(count-1), q_(count-3), ..., q_1 as a fresh array, for an even
-        count: the odd-indexed weights below count, highest index first.
-        Bit for bit ``q_array(count)[count - 1 :: -2]``.  The closed forms
-        make only the odd-indexed half; cesaro's running product cannot
-        skip terms, so it is made a chunk at a time and only each chunk's
-        odd entries are kept, in count/2 entries and two chunks of
-        scratch."""
-        if count % 2:
-            raise ValueError(f"odd weights need an even count, got {count}")
+    def coset_differences(self, count: int) -> np.ndarray:
+        """d_m = q_(count-4m-1) - q_(count-4m-3), m < count/4, as a fresh
+        array for a multiple of 4: bit for bit ``q[count - 1 :: -4] -
+        q[count - 3 :: -4]`` of ``q_array(count)``.  The closed forms make
+        only the weights they difference, a chunk of d at a time, and
+        cesaro's running product is streamed, each chunk differenced into d."""
+        if count < 4 or count % 4:
+            raise ValueError(f"coset differences need a positive multiple of 4, got {count}")
         self._admit(count)
         if self.kind == "custom":
-            return self.params[count - 1 :: -2].copy()
+            return self.params[count - 1 :: -4] - self.params[count - 3 :: -4]
         if self.kind == "fejer":
-            return np.ones(count // 2)
+            return np.zeros(count // 4)
+        d = np.empty(count // 4)
         if self.kind == "cesaro":
-            out = np.empty(count // 2)
             for start, chunk in self._chunks(count):
-                # odd indices start + 1 .. stop - 1 land at (count - 1 - j)/2
-                out[(count - start - chunk.size) // 2 : (count - start) // 2] = chunk[-1::-2]
-            return out
-        # x = j + 1 at the odd indices: count, count - 2, ..., 2
-        out = np.arange(count, 1.0, -2.0)
-        self._closed_form(out)
-        return out
+                # j = start + 4k + 3 and j - 2 land at m = (count - 1 - j)/4
+                stop = (count - start) // 4
+                np.subtract(chunk[-1::-4], chunk[-3::-4], out=d[stop - chunk.size // 4 : stop])
+            return d
+        for start in range(0, d.size, _CHUNK):
+            hi = d[start : start + _CHUNK]  # x = j + 1 at j = count - 4m - 1, then at j - 2
+            hi[:] = np.arange(count - 4.0 * start, count - 4.0 * (start + hi.size), -4.0)
+            lo = hi - 2.0
+            self._closed_form(hi)
+            self._closed_form(lo)
+            hi -= lo
+        return d
 
     def Q_chunks(
         self, count: int, out: np.ndarray | None = None

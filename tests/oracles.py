@@ -107,37 +107,32 @@ def cesaro_prefix(alpha: float, count: int) -> np.ndarray:
     return out
 
 
-def weights_whole(w: WeightFamily, count: int, odd: bool = False) -> np.ndarray:
-    """q_0..q_(count-1) as one new array, or with ``odd`` only its odd
-    entries q_(count-1), q_(count-3), ..., q_1 of an even count.  The
-    package's chunked generation must match it bit for bit."""
+def weights_whole(w: WeightFamily, count: int) -> np.ndarray:
+    """q_0..q_(count-1) as one new array.  The package's chunked
+    generation must match it bit for bit."""
     if w.kind == "custom":
         if count > len(w.params):
             raise DegreeError(
                 f"custom weight family defines only {len(w.params)} weights, "
                 f"{count} requested"
             )
-        return (w.params[1:count:2][::-1] if odd else w.params[:count]).copy()
+        return w.params[:count].copy()
     if count > MAX_WEIGHT_HORIZON:
         raise ResourceCapError(f"weight horizon {count} exceeds cap {MAX_WEIGHT_HORIZON}")
     if w.kind == "fejer":
-        return np.ones(count // 2 if odd else count)
+        return np.ones(count)
     if w.kind == "cesaro":
-        q = cesaro_prefix(w.params[0] - 1.0, count)
-        return q[1::2][::-1] if odd else q
-    # the rest transform x = j + 1 in place: 1, 2, ..., count, or for
-    # the odd entries count, count - 2, ..., 2
-    out = np.arange(count, 1.0, -2.0) if odd else np.arange(1.0, count + 1.0)
+        return cesaro_prefix(w.params[0] - 1.0, count)
+    # the rest transform x = j + 1 in place: 1, 2, ..., count
+    out = np.arange(1.0, count + 1.0)
     if w.kind == "log":
         np.divide(1.0, out, out=out)
     elif w.kind == "ualpha":
         out **= w.params[0] - 1.0
     elif w.kind == "vlog":
-        tail = out if odd else out[1:]
-        np.log(tail, out=tail)
-        np.divide(1.0, tail, out=tail)
-        if not odd:
-            out[0] = w.params[0]
+        np.log(out[1:], out=out[1:])
+        np.divide(1.0, out[1:], out=out[1:])
+        out[0] = w.params[0]
     else:
         raise AssertionError(f"no generator for kind {w.kind!r}")
     return out

@@ -203,9 +203,9 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
 
 
 def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
-    # one generation of the widest row's weights for every row (the rest
-    # are the 5-term structure head and kappa's weights), and no prefix
-    # sums at all: the check reads the odd-indexed weights alone
+    # one generation of the widest row's coset coefficients for every row
+    # (the rest are the 5-term structure head and kappa's weights), and no
+    # prefix sums at all: the check reads differences of the weights alone
     sizes, sums = [], []
     admit = walshlab.WeightFamily._admit
     stream = walshlab.WeightFamily.Q_chunks

@@ -80,6 +80,12 @@ def with_nan() -> np.ndarray:
     return a
 
 
+def with_nan_and_inf() -> np.ndarray:
+    a = with_nan()
+    a[2] = -np.inf
+    return a
+
+
 BAD_BUFFERS = {
     "read-only": (read_only, "expected a writable contiguous array"),
     "strided": (lambda: np.ones(32)[::2], "expected a writable contiguous array"),
@@ -88,6 +94,7 @@ BAD_BUFFERS = {
     "length-1": (lambda: np.ones(1), "expected a writable contiguous array"),
     "2-D": (lambda: np.ones((2, 8)), "expected a writable contiguous array"),
     "nan": (with_nan, "values must be finite"),
+    "nan-and-inf": (with_nan_and_inf, "values must be finite"),
 }
 
 TWINS = {
@@ -108,6 +115,6 @@ def test_twins_refuse_a_buffer_they_cannot_use(twin, bad):
     before = buffer.copy()
     with pytest.raises(ValueError, match=message):
         TWINS[twin](buffer)
-    if bad != "nan":
+    if not bad.startswith("nan"):
         # refused before anything is written
         assert np.array_equal(buffer, before)

@@ -137,23 +137,42 @@ ODD_WEIGHT_LABELS = [
 
 @pytest.mark.parametrize("label", ODD_WEIGHT_LABELS)
 def test_odd_weight_coset_matches_the_q_array_route_bit_for_bit(label):
-    # the check makes only q_(W-1), q_(W-3), ..., q_1 for the widest W and
-    # reads each row's suffix of them; the coefficients, the coset and the
-    # minimum are those taken from all of q_0..q_(A-1), bit for bit
+    # the check makes only d_m = q_(W-4m-1) - q_(W-4m-3) for the widest W
+    # and reads each row's suffix of them; the coefficients, the coset and
+    # the minimum are those taken from all of q_0..q_(A-1), bit for bit
     top = 10
     W = 1 << (2 * top)
     w = convex_custom(W + 3) if label == "custom" else parse_family(label)
-    odd = w.q_odd(W)
-    assert odd.tobytes() == w.q_array(W)[1::2][::-1].tobytes()
+    widest = w.coset_differences(W)
     reports = kernel_lower_bound_check(w, range(1, top + 1))
     for a, rep in zip(range(1, top + 1), reports):
         A = 1 << (2 * a)
         q = w.q_array(A)
         d = q[A - 1 :: -4] - q[A - 3 :: -4]
+        assert w.coset_differences(A).tobytes() == d.tobytes(), a
+        assert widest[(W - A) // 4 :].tobytes() == d.tobytes(), a
         coset = d if a == 1 else synthesize_in_place(d).values
-        assert w.q_odd(A).tobytes() == odd[(W - A) // 2 :].tobytes(), a
-        assert _quarter_cell_coset(w.q_odd(A), a).tobytes() == coset.tobytes(), a
+        assert _quarter_cell_coset(w.coset_differences(A), a).tobytes() == coset.tobytes(), a
         assert rep.min_abs_kernel == float(np.abs(coset).min()), a
+
+
+def test_repeated_and_unsorted_exponents_report_each_in_order():
+    # the widest row runs last, in the coefficients' own buffer, whatever
+    # the order it is asked in and however often
+    w = WeightFamily.logarithmic()
+    reports = kernel_lower_bound_check(w, [5, 2, 5, 1])
+    assert reports == [kernel_lower_bound_check(w, [a])[0] for a in (5, 2, 5, 1)]
+
+
+def test_coset_differences_refuse_before_they_allocate():
+    w = WeightFamily.logarithmic()
+    for count in (0, 2, 6):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            w.coset_differences(count)
+    with pytest.raises(ResourceCapError, match=r"^weight horizon 67108864 exceeds cap 16777216$"):
+        w.coset_differences(1 << 26)
+    with pytest.raises(DegreeError, match=r"^custom weight family defines only 20 weights, 24 requested$"):
+        WeightFamily.custom(np.ones(20)).coset_differences(24)
 
 
 def test_too_short_custom_family_refusal_is_unchanged():
@@ -218,7 +237,7 @@ def test_quarter_cell_coset_is_the_exact_log_kernel(a):
     w = WeightFamily.logarithmic()
     q = np.array([Fraction(1, j + 1) for j in range(A)], dtype=object)
     exact = exact_coset(q, a)
-    coset = _quarter_cell_coset(w.q_odd(A), a)
+    coset = _quarter_cell_coset(w.coset_differences(A), a)
     err = max(abs(Fraction(float(x)) - y) for x, y in zip(coset, exact))
     assert err <= coset_bound(a), (a, float(err))
 
@@ -239,7 +258,7 @@ def test_quarter_cell_coset_is_near_the_exact_kernel(label):
     q = longdouble_weights(w, 1 << (2 * top))
     for a in range(6, top + 1):
         exact = exact_coset(q, a)
-        coset = _quarter_cell_coset(w.q_odd(1 << (2 * a)), a)
+        coset = _quarter_cell_coset(w.coset_differences(1 << (2 * a)), a)
         assert coset_error(coset, exact) <= coset_bound(a), (a, coset_error(coset, exact))
     if label in ("vlog", "cesaro:0.8"):
         # the bound is not vacuous: the prefix sums' route misses it

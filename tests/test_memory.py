@@ -194,11 +194,12 @@ def test_prefix_sums_hold_their_array_and_one_chunk():
 
 def test_cesaro_odd_weights_hold_their_half_and_two_chunks():
     # the running product is made a chunk at a time and only each chunk's
-    # odd entries are kept
+    # differences of odd-indexed weights are kept: a quarter of the count
+    # and two chunks of scratch; measured 0.375 arrays
     count = 1 << 20
     w = parse_family("cesaro:0.25")
-    peak = traced_peak(lambda: w.q_odd(count))
-    assert peak <= 0.75 * 8 * count, peak / (8 * count)
+    peak = traced_peak(lambda: w.coset_differences(count))
+    assert peak <= 0.45 * 8 * count, peak / (8 * count)
 
 
 def test_custom_family_holds_its_weights_as_one_array():
@@ -217,20 +218,32 @@ def test_custom_family_holds_its_weights_as_one_array():
 
 
 def test_kernel_check_holds_under_one_kernel_array():
-    # cold: the odd-indexed half of the 4^a weights, then F_A on its
-    # 2^(2a-2)-cell coset, whose absolute values are taken in its own
-    # buffer; the 2^(2a+1)-cell window would be 2 arrays of 4^a cells, and
-    # no prefix sums are grown; measured 1.003, bounded at that plus 0.1.
-    # cesaro's odd weights are made beside a whole 2^16-entry weight chunk
-    # and its index chunk, which outweigh them at a = 8: measured 2.504,
-    # bounded at 2.6
+    # cold: the 4^a/4 coset coefficients, made beside two chunks of
+    # scratch as large as themselves, then F_A on its 2^(2a-2)-cell coset,
+    # synthesized and taken absolute in their own buffer; the 2^(2a+1)-cell
+    # window would be 2 arrays of 4^a cells, and no prefix sums are grown;
+    # measured 0.503, bounded at that plus 0.1.  cesaro's coefficients are
+    # made beside a whole 2^16-entry weight chunk and its index chunk,
+    # which outweigh them at a = 8: measured 2.254, bounded at that plus 0.1
     a = 8
     array_bytes = 8 << (2 * a)
     for label in BUILT_IN_FAMILIES:
         w = parse_family(label)
-        bound = 2.6 if w.kind == "cesaro" else 1.1
+        bound = 2.36 if w.kind == "cesaro" else 0.61
         peak = traced_peak(lambda: kernel_lower_bound_check(w, [a]))
         assert peak < bound * array_bytes, (label, peak / array_bytes)
+
+
+def test_kernel_check_rows_share_one_coset_array():
+    # the widest row's coefficients, a quarter of 4^10, are made once;
+    # each narrower row synthesizes a copy of its suffix of them, and the
+    # widest row runs last in their own buffer; measured 0.391 arrays of
+    # 4^10
+    array_bytes = 8 << 20
+    for label in BUILT_IN_FAMILIES:
+        w = parse_family(label)
+        peak = traced_peak(lambda: kernel_lower_bound_check(w, range(1, 11)))
+        assert peak <= 0.55 * array_bytes, (label, peak / array_bytes)
 
 
 def test_structure_screen_reads_only_the_head():

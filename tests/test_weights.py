@@ -112,16 +112,15 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("label", GENERATOR_FAMILIES)
 def test_chunked_generation_matches_the_whole_array_oracle(label):
-    # q_array, q_odd and a cold Q_array against one whole-array generation
-    # and one cumsum, bit for bit
+    # q_array, coset_differences and a cold Q_array against one
+    # whole-array generation and one cumsum, bit for bit
     for count in GENERATOR_COUNTS:
         w = generator_family(label)
         expect = weights_whole(w, count)
         assert same_bits(w.q_array(count), expect), (label, count)
-        if count % 2 == 0:
-            odd = w.q_odd(count)
-            assert same_bits(odd, weights_whole(w, count, odd=True)), (label, count)
-            assert same_bits(odd, expect[count - 1 :: -2]), (label, count)
+        if count % 4 == 0:
+            d = expect[count - 1 :: -4] - expect[count - 3 :: -4]
+            assert same_bits(w.coset_differences(count), d), (label, count)
         assert same_bits(w.Q_array(count), prefix_sums_whole(w, count)), (label, count)
 
 
