@@ -202,7 +202,7 @@ def test_lemma2_over_cap_exponent_list_runs_no_row(monkeypatch, capsys, alphas, 
     )
 
 
-def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
+def test_lemma2_makes_the_widest_coset_differences_once(monkeypatch, capsys):
     # one generation of the widest row's coset coefficients for every row
     # (the rest are the 5-term structure head and kappa's weights), and no
     # prefix sums at all: the check reads differences of the weights alone
@@ -223,7 +223,7 @@ def test_lemma2_grows_the_weight_cache_once(monkeypatch, capsys):
     assert sums == [], sums
 
 
-def test_diverge_grows_no_prefix_sums_past_the_head(tmp_path, monkeypatch, capsys):
+def test_diverge_streams_each_rows_prefix_sums_once(tmp_path, monkeypatch, capsys):
     # each row streams its own prefix sums Q_1..Q_n, n = 2^(2a+1), in one
     # pass, and nothing else makes any (the golden files hold the rows'
     # bytes)

@@ -192,7 +192,7 @@ def test_prefix_sums_hold_their_array_and_one_chunk():
         assert peak < 2.1 * chunk_bytes, (label, peak / chunk_bytes)
 
 
-def test_cesaro_odd_weights_hold_their_half_and_two_chunks():
+def test_cesaro_coset_differences_hold_a_quarter_and_two_chunks():
     # the running product is made a chunk at a time and only each chunk's
     # differences of odd-indexed weights are kept: a quarter of the count
     # and two chunks of scratch; measured 0.375 arrays

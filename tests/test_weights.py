@@ -158,7 +158,7 @@ def test_prefix_sum_stream_matches_the_cache(label):
         assert same_bits(out, expect), (label, count)
 
 
-def test_prefix_sum_stream_refuses_what_the_cache_refuses():
+def test_prefix_sum_stream_refuses_past_the_horizon_and_a_custom_end():
     with pytest.raises(ResourceCapError):
         next(WeightFamily.logarithmic().Q_chunks((1 << 24) + 1))
     with pytest.raises(DegreeError, match="defines only 3 weights"):
