@@ -482,7 +482,7 @@ def _cmd_lemma2(args: argparse.Namespace) -> _Table:
     ]
     data = tuple(zip(*rows))
     passed = sum(data[5])
-    kap = kappa(w)
+    kap = data[4][0]  # every report carries the family's kappa
     _note(f"lemma2: {w.label}, kappa = {kap:.9g}, {passed}/{len(rows)} rows passed")
     columns = ("family", "alpha", "n", "min_abs_kernel", "kappa", "passed", "vacuous")
     return columns, data, {"family": w.label, "kappa": kap}, 0 if passed == len(rows) else 3

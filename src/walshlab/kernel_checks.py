@@ -34,6 +34,17 @@ a = 10, the coset's largest error is 2.6e-16 (log), 1.3e-16
 1.7e-12, 4.8e-12, 2.7e-11, 7.9e-9 and 7.4e-9 from Q.  So the check's
 minimum matches block_kernel's window, which reads Q, to that window's
 roundoff and not bit for bit.
+
+Every row's coset is an intermediate of the widest row's synthesis.  Row
+a's coefficients are the last 4^(a-1) of the widest row's d, and they
+split as [2q | q | q], q = 4^(a-2), where the last q are row a-1's.  The
+butterfly synthesizes a buffer by its halves and then joins them with
+its last stride, so completing the synthesis of the upper half [q | q]
+and then of the whole (``complete_synthesis_in_place``, which
+synthesizes a lower half and joins it to a synthesized upper one) turns
+row a-1's values into row a's, bit for bit the synthesis of row a's own
+coefficients.  The check runs the rows bottom-up in d's one buffer and
+reads each row's minimum before the next row's joins overwrite it.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ import numpy as np
 
 from .dyadic import DyadicFunction, Resolution
 from .errors import DegreeError, PreconditionError
-from .transform import synthesize_in_place
+from .transform import complete_synthesis_in_place, synthesize_in_place
 from .weights import WeightFamily, kappa, validate_structure
 
 __all__ = [
@@ -90,17 +101,6 @@ def block_kernel(w: WeightFamily, a: int, resolution: Resolution) -> DyadicFunct
     return synthesize_in_place(coeffs)
 
 
-def _quarter_cell_coset(d: np.ndarray, a: int) -> np.ndarray:
-    # F_A on the cells x = 3 mod 4 of its 2a-bit grid, in the order of
-    # x >> 2, from its coefficients d_m = q_(A-4m-1) - q_(A-4m-3),
-    # synthesized on 2a - 2 bits in d's own buffer through a view, which
-    # the result marks read-only, so d stays writable and the caller may
-    # take |F_A| in it
-    if a > 1:  # on 0 bits, one coefficient d_0 is its own synthesis
-        synthesize_in_place(d.view())
-    return d
-
-
 def kernel_lower_bound_check(
     w: WeightFamily, block_exps: Sequence[int]
 ) -> list[KernelBoundReport]:
@@ -114,18 +114,22 @@ def kernel_lower_bound_check(
     weight horizon.  The minimum is read from the 2^(2a-2) values of the
     Nörlund kernel F_A on its quarter-cell coset, whose coefficients are
     differences of the odd-indexed weights (see the module docstring),
-    made once for the widest window: each narrower row synthesizes a copy
-    of its suffix of them, and the widest runs last, in their own buffer.
+    made once for the widest window and synthesized there once, bottom-up:
+    each row's coset is the previous row's, joined with its fresh
+    coefficients, and no row is copied.
 
     Families failing the structure screen over the widest window's
     weights are rejected (for built-in families the screen reads only
     the head; see validate_structure); a nonpositive kappa makes the
-    check pass vacuously (the bound claims nothing).
+    check pass vacuously (the bound claims nothing).  A coset value that
+    is not finite, in any row, survives every later join into the widest
+    row, whose adoption raises ValueError before a report is returned.
     """
     low = min(block_exps, default=None)
     if low is None or low < 1:
         raise PreconditionError(f"block exponents must be >= 1, got {low}")
-    widest = 1 << (2 * max(block_exps))
+    top = max(block_exps)
+    widest = 1 << (2 * top)
     structure = validate_structure(w, widest + 2)
     if not structure.ok:
         raise PreconditionError(
@@ -133,11 +137,23 @@ def kernel_lower_bound_check(
         )
     d = w.coset_differences(widest)
     kap = kappa(w)
+    wanted = set(block_exps)
     minima = {}
-    for a in sorted(set(block_exps)):  # the widest last, in d itself
-        suffix = d[(widest - (1 << (2 * a))) // 4 :]
-        coset = _quarter_cell_coset(suffix.copy() if suffix.size < d.size else suffix, a)
-        minima[a] = float(np.abs(coset, out=coset).min())
+    for a in range(1, top + 1):
+        # row a is d's last 4^(a-1) entries; on 0 bits, at a = 1, the one
+        # coefficient is its own synthesis
+        coset = d[d.size - (1 << (2 * a - 2)) :]
+        if a > 1:
+            # [2q fresh | q fresh | q of row a-1, synthesized], q = 4^(a-2):
+            # the upper half first, then the whole
+            complete_synthesis_in_place(coset[coset.size // 2 :])
+            complete_synthesis_in_place(coset)
+        if a in wanted and a < top:  # the widest row is read in place below
+            minima[a] = float(np.abs(coset).min())
+    np.abs(d, out=d)  # not finite exactly where d is not
+    if d.size > 1:
+        DyadicFunction.adopt(Resolution.of_buffer(d), d)
+    minima[top] = float(d.min())
     return [
         KernelBoundReport(w.label, a, 2 * a + 1, minima[a], kap, minima[a] >= kap - _BOUND_TOL)
         for a in block_exps

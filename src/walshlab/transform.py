@@ -35,6 +35,7 @@ __all__ = [
     "fwht_inverse",
     "analyze_in_place",
     "synthesize_in_place",
+    "complete_synthesis_in_place",
     "dirichlet_kernel",
 ]
 
@@ -107,9 +108,11 @@ def _butterfly(a: np.ndarray) -> None:
 def _halves(a: np.ndarray, scratch: np.ndarray) -> None:
     # The butterfly of a, made of 2^k chunks of scratch.size cells.  A
     # chunk runs its stages in constant geometry.  Above one chunk it runs
-    # the lower half, the upper half, then stride size/2 across them.  The
-    # strides below size/2 act on each half alone, so every element meets
-    # the same operands in the same order as in whole-array passes.
+    # the lower half, the upper half, then stride size/2 across them
+    # through the same scratch (_join, which complete_synthesis_in_place
+    # runs too).  The strides below size/2 act on each half alone, so every
+    # element meets the same operands in the same order as in whole-array
+    # passes.
     #
     # An all-zero upper half is not synthesized; the lower half is copied
     # into it.  Its synthesis would be zeros, and stride size/2 pairs each
@@ -135,7 +138,13 @@ def _halves(a: np.ndarray, scratch: np.ndarray) -> None:
         np.copyto(upper, lower)
         return
     _halves(upper, scratch)
-    for j in range(0, half, scratch.size):
+    _join(lower, upper, scratch)
+
+
+def _join(lower: np.ndarray, upper: np.ndarray, scratch: np.ndarray) -> None:
+    # the butterfly's last stride, across two halves that hold syntheses,
+    # a chunk of scratch.size cells at a time (it divides the half)
+    for j in range(0, lower.shape[0], scratch.size):
         _pass(lower[j : j + scratch.size], upper[j : j + scratch.size], scratch)
 
 
@@ -195,6 +204,29 @@ def synthesize_in_place(coefficients: np.ndarray) -> DyadicFunction:
     resolution = Resolution.of_buffer(coefficients)
     _butterfly(coefficients)
     return DyadicFunction.adopt(resolution, coefficients)
+
+
+def complete_synthesis_in_place(buffer: np.ndarray) -> None:
+    """Finish the synthesis of a buffer whose upper half already holds the
+    synthesis of its own coefficients: synthesize the coefficients in the
+    lower half, in place, then join the halves with the butterfly's last
+    stride, (lower, upper) <- (lower + upper, lower - upper).
+
+    The buffer then holds the synthesis of all its coefficients, bit for
+    bit what ``synthesize_in_place`` makes of them when they hold no -0.0
+    (see ``_halves``, which runs its wide strides through the same join).
+    ``buffer`` must be a writable, contiguous 1-D float64 array of 2^N
+    entries, N >= 1, and the grid is read from its length
+    (``Resolution.of_buffer``).  Nothing is adopted, so no value is
+    checked: one that is not finite stays so through every later stride,
+    and a caller that completes a synthesis this way, half by half, checks
+    it once by adopting the result.
+    """
+    half = Resolution.of_buffer(buffer).size // 2
+    scratch = np.empty(min(half, _BLOCK))
+    lower = buffer[:half]
+    _halves(lower, scratch)
+    _join(lower, buffer[half:], scratch)
 
 
 def dirichlet_kernel(n: int, resolution: Resolution) -> DyadicFunction:

@@ -227,8 +227,9 @@ class WeightFamily:
         """d_m = q_(count-4m-1) - q_(count-4m-3), m < count/4, as a fresh
         array for a multiple of 4: bit for bit ``q[count - 1 :: -4] -
         q[count - 3 :: -4]`` of ``q_array(count)``.  The closed forms make
-        only the weights they difference, a chunk of d at a time, and
-        cesaro's running product is streamed, each chunk differenced into d."""
+        only the weights they difference, in d's own buffer and one scratch
+        chunk, and cesaro's running product is streamed, each chunk
+        differenced into d."""
         if count < 4 or count % 4:
             raise ValueError(f"coset differences need a positive multiple of 4, got {count}")
         self._admit(count)
@@ -236,17 +237,21 @@ class WeightFamily:
             return self.params[count - 1 :: -4] - self.params[count - 3 :: -4]
         if self.kind == "fejer":
             return np.zeros(count // 4)
-        d = np.empty(count // 4)
         if self.kind == "cesaro":
+            d = np.empty(count // 4)
             for start, chunk in self._chunks(count):
                 # j = start + 4k + 3 and j - 2 land at m = (count - 1 - j)/4
                 stop = (count - start) // 4
                 np.subtract(chunk[-1::-4], chunk[-3::-4], out=d[stop - chunk.size // 4 : stop])
             return d
+        # x = j + 1 at j = count - 4m - 1 is count - 4m, and at j - 2 it is
+        # 2 less: exact integers, each chunk's lower ones in one scratch chunk
+        d = np.arange(float(count), 0.0, -4.0)
+        scratch = np.empty(min(d.size, _CHUNK))
         for start in range(0, d.size, _CHUNK):
-            hi = d[start : start + _CHUNK]  # x = j + 1 at j = count - 4m - 1, then at j - 2
-            hi[:] = np.arange(count - 4.0 * start, count - 4.0 * (start + hi.size), -4.0)
-            lo = hi - 2.0
+            hi = d[start : start + _CHUNK]
+            lo = scratch[: hi.size]
+            np.subtract(hi, 2.0, out=lo)
             self._closed_form(hi)
             self._closed_form(lo)
             hi -= lo

@@ -8,7 +8,10 @@ package synthesizes unit coefficients with the butterfly.  kernel_sum
 lays out any kernel window's coefficients, where the package's
 block_kernel writes only the block window's; quarter_cell_coset_from_Q
 reads the kernel check's coefficients from prefix sums, where the
-package takes differences of the weights; atom_block and
+package takes differences of the weights; kernel_check_minima runs
+each row of the kernel check on its own copy of its coefficients, where
+the package synthesizes every row once, bottom-up, in one array;
+atom_block and
 build_martingale sum the martingale from dirichlet_by_blocks kernels,
 where the package synthesizes its closed-form spectrum.  maximal_by_rank
 maxes each rank's averages into the whole grid, where the package folds
@@ -203,6 +206,26 @@ def quarter_cell_coset_from_Q(w: WeightFamily, a: int) -> np.ndarray:
     if a == 1:
         return d  # one coefficient: the synthesis on 0 bits is d_0 itself
     return synthesize_in_place(d).values
+
+
+def quarter_cell_coset(d: np.ndarray) -> np.ndarray:
+    """F_A on its quarter-cell coset from its 4^(a-1) coefficients d: a
+    copy of d, synthesized on its own.  One coefficient is its own
+    synthesis on 0 bits."""
+    if d.size == 1:
+        return d.copy()
+    return synthesize_in_place(d.copy()).values
+
+
+def kernel_check_minima(w: WeightFamily, block_exps) -> list[float]:
+    """min |F_A| on the quarter cell for each a in block_exps, row by row:
+    the widest window's coset differences made once, and each row's
+    suffix of them copied, synthesized and taken absolute."""
+    d = w.coset_differences(1 << (2 * max(block_exps)))
+    return [
+        float(np.abs(quarter_cell_coset(d[d.size - (1 << (2 * a - 2)) :])).min())
+        for a in block_exps
+    ]
 
 
 def atom_block(k: int, cfg: CounterexampleConfig, resolution: Resolution) -> DyadicFunction:

@@ -11,8 +11,9 @@ entry says which values moved, by how much, and why.
 Full-precision CSV, so that a change in any low bit shows: `monitor --n
 20` for fejer at p = 1 and log at p = 0.75, each on a Dirichlet kernel
 and on a seeded random function; `lemma2 --alphas 1..10` for four
-families; and `diverge` on the bundled reproduce/*.cfg configs with
-their alphas rewritten to 1..10.
+families, and `--alphas 1..12` for log and cesaro:0.25, whose weights
+read no pow or log; and `diverge` on the bundled reproduce/*.cfg
+configs with their alphas rewritten to 1..10.
 
 The default 9-digit text, in CSV and in JSON (stem suffix _json), so
 that the bytes users and scripts read are pinned too: `transform --f
@@ -50,6 +51,10 @@ def commands() -> dict[str, list[str]]:
     for family in ("log", "cesaro:0.25", "ualpha:0.3", "vlog"):
         out[f"lemma2_{family.replace(':', '')}"] = [
             "lemma2", "--family", family, "--alphas", "1..10", *full
+        ]
+    for family in ("log", "cesaro:0.25"):  # up to the weight horizon, 2^24 weights
+        out[f"lemma2_{family.replace(':', '')}_1to12"] = [
+            "lemma2", "--family", family, "--alphas", "1..12", *full
         ]
     for cfg in CONFIGS:
         out[f"diverge_{cfg.stem}"] = ["diverge", "--config", f"{{tmp}}/{cfg.name}", *full]

@@ -16,6 +16,7 @@ from walshlab import (
     analyze_in_place,
     bounded_case_monitor,
     bounded_case_monitor_in_place,
+    complete_synthesis_in_place,
     fwht_forward,
     norlund_mean_in_place,
     norlund_mean_multiplier,
@@ -118,3 +119,14 @@ def test_twins_refuse_a_buffer_they_cannot_use(twin, bad):
     if not bad.startswith("nan"):
         # refused before anything is written
         assert np.array_equal(buffer, before)
+
+
+@pytest.mark.parametrize("bad", [bad for bad in BAD_BUFFERS if not bad.startswith("nan")])
+def test_completion_refuses_a_buffer_it_cannot_use(bad):
+    # the completion adopts nothing, so it checks no values: only the buffer
+    make, message = BAD_BUFFERS[bad]
+    buffer = make()
+    before = buffer.copy()
+    with pytest.raises(ValueError, match=message):
+        complete_synthesis_in_place(buffer)
+    assert np.array_equal(buffer, before)

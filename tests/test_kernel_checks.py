@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walshlab import (
     DyadicFunction,
@@ -21,9 +23,8 @@ from walshlab import (
     walsh_function,
 )
 from walshlab.errors import DegreeError, PreconditionError, ResourceCapError, WalshLabError
-from walshlab.kernel_checks import _quarter_cell_coset
 
-from oracles import kernel_sum, quarter_cell_coset_from_Q
+from oracles import kernel_check_minima, kernel_sum, quarter_cell_coset, quarter_cell_coset_from_Q
 
 
 def test_log_block_one_minimum_is_exactly_quarter():
@@ -95,6 +96,8 @@ FAMILY_LABELS = [
     "log", "vlog", "vlog:5", "cesaro:0.25", "cesaro:0.8",
     "ualpha:0.3", "ualpha:0.9", "fejer", "custom",
 ]
+# q_0..q_(4^10 + 2), what the structure screen reads at a = 10
+CUSTOM = convex_custom((1 << 20) + 3)
 
 
 @pytest.mark.parametrize("label", FAMILY_LABELS)
@@ -138,8 +141,8 @@ ODD_WEIGHT_LABELS = [
 @pytest.mark.parametrize("label", ODD_WEIGHT_LABELS)
 def test_odd_weight_coset_matches_the_q_array_route_bit_for_bit(label):
     # the check makes only d_m = q_(W-4m-1) - q_(W-4m-3) for the widest W
-    # and reads each row's suffix of them; the coefficients, the coset and
-    # the minimum are those taken from all of q_0..q_(A-1), bit for bit
+    # and synthesizes each row's suffix of them in place; the coefficients
+    # and the minimum are those taken from all of q_0..q_(A-1), bit for bit
     top = 10
     W = 1 << (2 * top)
     w = convex_custom(W + 3) if label == "custom" else parse_family(label)
@@ -152,13 +155,44 @@ def test_odd_weight_coset_matches_the_q_array_route_bit_for_bit(label):
         assert w.coset_differences(A).tobytes() == d.tobytes(), a
         assert widest[(W - A) // 4 :].tobytes() == d.tobytes(), a
         coset = d if a == 1 else synthesize_in_place(d).values
-        assert _quarter_cell_coset(w.coset_differences(A), a).tobytes() == coset.tobytes(), a
         assert rep.min_abs_kernel == float(np.abs(coset).min()), a
 
 
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+@given(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+@settings(max_examples=12, deadline=None)
+def test_bottom_up_rows_are_the_per_row_route_bit_for_bit(label, block_exps):
+    # every row read from the widest row's one synthesis, bottom-up, is
+    # the row synthesized from its own copy of its coefficients, for
+    # exponent lists with repeats and in any order
+    w = CUSTOM if label == "custom" else parse_family(label)
+    reports = kernel_lower_bound_check(w, block_exps)
+    assert [rep.block_exp for rep in reports] == block_exps
+    got = np.array([rep.min_abs_kernel for rep in reports])
+    expect = np.array(kernel_check_minima(w, block_exps))
+    assert got.tobytes() == expect.tobytes(), block_exps
+
+
+@pytest.mark.parametrize("widest, row", [(2, 2), (3, 2), (6, 2), (6, 4), (6, 6)])
+def test_an_overflowing_row_raises_before_any_report(widest, row, monkeypatch):
+    # coefficients near the float64 limit in the fresh part of one row
+    # make its synthesis overflow; the value stays infinite or NaN through
+    # every later join, and the widest row's adoption refuses it
+    fresh = (1 << (2 * widest - 2)) - (1 << (2 * row - 2))
+
+    def coset_differences(self, count):
+        d = np.full(count // 4, 1e-3)
+        d[fresh : fresh + 2] = 1e308
+        return d
+
+    monkeypatch.setattr(WeightFamily, "coset_differences", coset_differences)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="^values must be finite$"):
+        kernel_lower_bound_check(WeightFamily.logarithmic(), [1, widest])
+
+
 def test_repeated_and_unsorted_exponents_report_each_in_order():
-    # the widest row runs last, in the coefficients' own buffer, whatever
-    # the order it is asked in and however often
+    # every row is read from one bottom-up synthesis, whatever the order
+    # it is asked in and however often
     w = WeightFamily.logarithmic()
     reports = kernel_lower_bound_check(w, [5, 2, 5, 1])
     assert reports == [kernel_lower_bound_check(w, [a])[0] for a in (5, 2, 5, 1)]
@@ -237,7 +271,7 @@ def test_quarter_cell_coset_is_the_exact_log_kernel(a):
     w = WeightFamily.logarithmic()
     q = np.array([Fraction(1, j + 1) for j in range(A)], dtype=object)
     exact = exact_coset(q, a)
-    coset = _quarter_cell_coset(w.coset_differences(A), a)
+    coset = quarter_cell_coset(w.coset_differences(A))
     err = max(abs(Fraction(float(x)) - y) for x, y in zip(coset, exact))
     assert err <= coset_bound(a), (a, float(err))
 
@@ -258,7 +292,7 @@ def test_quarter_cell_coset_is_near_the_exact_kernel(label):
     q = longdouble_weights(w, 1 << (2 * top))
     for a in range(6, top + 1):
         exact = exact_coset(q, a)
-        coset = _quarter_cell_coset(w.coset_differences(1 << (2 * a)), a)
+        coset = quarter_cell_coset(w.coset_differences(1 << (2 * a)))
         assert coset_error(coset, exact) <= coset_bound(a), (a, coset_error(coset, exact))
     if label in ("vlog", "cesaro:0.8"):
         # the bound is not vacuous: the prefix sums' route misses it

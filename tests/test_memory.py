@@ -218,13 +218,14 @@ def test_custom_family_holds_its_weights_as_one_array():
 
 
 def test_kernel_check_holds_under_one_kernel_array():
-    # cold: the 4^a/4 coset coefficients, made beside two chunks of
+    # cold: the 4^a/4 coset coefficients, made beside one chunk of
     # scratch as large as themselves, then F_A on its 2^(2a-2)-cell coset,
-    # synthesized and taken absolute in their own buffer; the 2^(2a+1)-cell
-    # window would be 2 arrays of 4^a cells, and no prefix sums are grown;
-    # measured 0.503, bounded at that plus 0.1.  cesaro's coefficients are
-    # made beside a whole 2^16-entry weight chunk and its index chunk,
-    # which outweigh them at a = 8: measured 2.254, bounded at that plus 0.1
+    # synthesized bottom-up and taken absolute in their own buffer, each
+    # narrower row's |F_A| in a copy; the 2^(2a+1)-cell window would be 2
+    # arrays of 4^a cells, and no prefix sums are grown; measured 0.502,
+    # bounded at 0.61.  cesaro's coefficients are made beside a whole
+    # 2^16-entry weight chunk and its index chunk, which outweigh them at
+    # a = 8: measured 2.254, bounded at that plus 0.1
     a = 8
     array_bytes = 8 << (2 * a)
     for label in BUILT_IN_FAMILIES:
@@ -235,10 +236,11 @@ def test_kernel_check_holds_under_one_kernel_array():
 
 
 def test_kernel_check_rows_share_one_coset_array():
-    # the widest row's coefficients, a quarter of 4^10, are made once;
-    # each narrower row synthesizes a copy of its suffix of them, and the
-    # widest row runs last in their own buffer; measured 0.391 arrays of
-    # 4^10
+    # the widest row's coefficients, a quarter of 4^10, are made once and
+    # synthesized once, bottom-up, in their own buffer: each row is the
+    # buffer's last 4^(a-1) entries, read before the next row's joins
+    # overwrite it, and no row is copied; measured 0.313 arrays of 4^10,
+    # and 0.376 for cesaro, whose coefficients are made beside two chunks
     array_bytes = 8 << 20
     for label in BUILT_IN_FAMILIES:
         w = parse_family(label)

@@ -15,6 +15,7 @@ from walshlab import (
     DyadicFunction,
     Resolution,
     WalshSpectrum,
+    complete_synthesis_in_place,
     dirichlet_kernel,
     fwht_forward,
     fwht_inverse,
@@ -131,6 +132,30 @@ def test_blocked_butterfly_matches_whole_array_passes(kind, bits):
     else:
         assert got.tobytes() == expect.tobytes()
         assert forward.tobytes() == (expect / r.size).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, bits",
+    [("random", bits) for bits in range(1, 19)] + [("zero-upper", bits) for bits in (2, 16, 17, 18)],
+)
+def test_completed_synthesis_is_the_synthesis(kind, bits):
+    # the upper half synthesized on its own, then the lower half and the
+    # last stride by the completion, is the whole buffer's synthesis bit
+    # for bit: at 16 bits and below that synthesis runs in constant
+    # geometry, above it by halves, and an all-zero upper half is copied
+    # from the lower one instead
+    size = 1 << bits
+    rng = np.random.default_rng(600 + bits)
+    coefficients = rng.standard_normal(size)
+    if kind == "zero-upper":
+        coefficients[size // 2 :] = 0.0
+    buffer = coefficients.copy()
+    if size > 2:  # one coefficient is its own synthesis
+        synthesize_in_place(buffer[size // 2 :].view())
+    complete_synthesis_in_place(buffer)
+    expect = synthesize_in_place(coefficients.copy()).values
+    assert buffer.tobytes() == expect.tobytes()
+    assert buffer.tobytes() == butterfly(coefficients).tobytes()
 
 
 def test_sparse_synthesis_passes_stay_within_one_chunk(monkeypatch):
